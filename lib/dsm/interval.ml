@@ -10,8 +10,10 @@ type t = {
          every relayed notice again on every hop *)
 }
 
-let make ~proc ~vc ~notices =
-  { proc; seq = Vc.get vc proc; vc = Vc.copy vc; notices; wn_bytes = -1 }
+let make_owned ~proc ~vc ~notices =
+  { proc; seq = Vc.get vc proc; vc; notices; wn_bytes = -1 }
+
+let make ~proc ~vc ~notices = make_owned ~proc ~vc:(Vc.copy vc) ~notices
 
 let size_bytes ?(vc_bytes = Vc.size_bytes) t =
   if t.wn_bytes < 0 then

@@ -14,7 +14,13 @@ type t = {
           list is immutable; construct through {!make}) *)
 }
 
+(** The interval keeps its own copy of [vc]. *)
 val make : proc:int -> vc:Vc.t -> notices:Notice.t list -> t
+
+(** Like {!make}, but takes ownership of [vc] instead of copying it:
+    the caller passes a snapshot nobody mutates afterwards (interval
+    close shares one snapshot between the interval and its notices). *)
+val make_owned : proc:int -> vc:Vc.t -> notices:Notice.t list -> t
 
 (** Wire size: 8-byte header + timestamp + notices.  [vc_bytes]
     overrides how the piggybacked timestamp is costed (defaults to dense

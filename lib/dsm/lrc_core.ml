@@ -241,7 +241,9 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
         assert e.dirty;
         e.dirty <- false;
         Stats.note_write cl.stats ~page;
-        set_last_notice node e node.id vc_snapshot;
+        (* The node's clock covers everything it has applied, so the
+           snapshot covers the old dominator and keeps the summary. *)
+        set_last_notice node e node.id vc_snapshot ~covers_all:false;
         let version =
           P.close_page cl node e ~seq ~vc:vc_snapshot ~charge:charge_later
         in
@@ -257,8 +259,12 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
     in
     List.iter close_page node.dirty_pages;
     node.dirty_pages <- [];
+    (* No [close_page] writes [node.vc], so the snapshot still equals
+       it: the interval shares the snapshot with its notices instead of
+       copying the clock a second time. *)
     let ival =
-      Interval.make ~proc:node.id ~vc:node.vc ~notices:(List.rev !notices)
+      Interval.make_owned ~proc:node.id ~vc:vc_snapshot
+        ~notices:(List.rev !notices)
     in
     Interval.Log.append node.intervals.(node.id) ival
   end;
@@ -268,38 +274,49 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
 (* Notice application (acquire side)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Detect writers concurrent with notice [n] (paper Sections 3.1.1-3.1.2)
+   and report whether [n] covers every recorded writer — the
+   [covers_all] input of [set_last_notice].
+
+   Fast path: if [n] covers the entry's dominating slot it covers every
+   recorded notice (see [State.covers_dominator]), so it is concurrent
+   with none of them and the scan is skipped.  Lock-ordered (migratory)
+   pages keep a dominator, which makes their check O(1).
+
+   Otherwise both effects of a detected concurrent writer are idempotent
+   — the stats note is a set insert, and flipping an already-active fs
+   mode is a no-op — so once the page's false sharing is committed to
+   the stats AND (for adaptive protocols) this entry's fs mode is already
+   active, the scan can have no observable effect: skip it (answering
+   [false], which only means the summary is not re-derived here).  Under
+   deferred stats the membership answer may lag the insert, which only
+   means a few more no-op scans before the skip kicks in. *)
 let note_concurrent_writers cl node (e : entry) (n : Notice.t) =
-  (* Both effects of a detected concurrent writer are idempotent — the
-     stats note is a set insert, and flipping an already-active fs mode
-     is a no-op — so once the page's false sharing is committed to the
-     stats AND (for adaptive protocols) this entry's fs mode is already
-     active, the sweep can have no observable effect: skip it.  Under
-     deferred stats the membership answer may lag the insert, which only
-     means a few more no-op sweeps before the skip kicks in. *)
-  if
+  if covers_dominator e n.vc then true
+  else if
     (not (Stats.page_false_shared cl.stats ~page:n.page))
     || (Mode.adaptive cl && not e.fs_active)
-  then
-    (* Plain loop over the entry's sparse writer map: only pages' actual
-       writers occupy slots — the former dense scan walked all [nprocs]
-       components per notice, an O(nprocs^2) term per barrier at large
-       clusters. *)
-    for i = 0 to e.nw_len - 1 do
-    let q = e.nw_procs.(i) in
-    (* O(1) concurrency via the transitive-clock invariant (see
+  then begin
+    (* Dense fallback over the entry's sparse writer map.  O(1)
+       concurrency via the transitive-clock invariant (see
        [Notice.covers]): [q]'s recorded snapshot [m] has [m.(q)] = the
        seq of [q]'s writing interval, so coverage either way is one
        component read. *)
-    let m = e.nw_vcs.(i) in
-    if
-      q <> n.proc
-      && Vc.get n.vc q < Vc.get m q
-      && Vc.get m n.proc < n.seq
-    then begin
-      Stats.note_false_sharing cl.stats ~page:n.page;
-      if Mode.adaptive cl then Mode.set_fs_active cl ~node:node.id e true
-    end
-  done
+    let covers_all = ref true in
+    for i = 0 to e.nw_len - 1 do
+      let q = e.nw_procs.(i) in
+      let m = e.nw_vcs.(i) in
+      if q <> n.proc && Vc.get n.vc q < Vc.get m q then begin
+        covers_all := false;
+        if Vc.get m n.proc < n.seq then begin
+          Stats.note_false_sharing cl.stats ~page:n.page;
+          if Mode.adaptive cl then Mode.set_fs_active cl ~node:node.id e true
+        end
+      end
+    done;
+    !covers_all
+  end
+  else false
 
 (* Is notice [n]'s modification still missing from this node's copy?
    Plain notices are tracked per applied diff (reflected sequence numbers);
@@ -314,8 +331,8 @@ let notice_relevant node (e : entry) (n : Notice.t) =
 let apply_notice ?(replay = false) cl node (n : Notice.t) =
   let e = entry_of node n.page in
   Stats.note_write cl.stats ~page:n.page;
-  note_concurrent_writers cl node e n;
-  set_last_notice node e n.proc n.vc;
+  let covers_all = note_concurrent_writers cl node e n in
+  set_last_notice node e n.proc n.vc ~covers_all;
   if notice_relevant node e n then begin
     (match n.version with
     | Some v ->

@@ -37,6 +37,9 @@ type entry = {
          indexing (and allocating) an O(nprocs) table per entry. *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
+  mutable nw_dom : int;
+      (* Dominating-writer summary: a slot whose notice covers every
+         recorded notice, or -1.  See [set_last_notice]. *)
   mutable fs_view : bool array;  (* [[||]] = all [true] *)
   mutable copyset : bool array;  (* [[||]] = all [false] *)
   mutable own_diff_seqs : int list;
@@ -191,6 +194,7 @@ let make_entry ~nprocs:_ ~page ~home =
     nw_procs = [||];
     nw_vcs = [||];
     nw_len = 0;
+    nw_dom = -1;
     fs_view = [||];
     copyset = [||];
     own_diff_seqs = [];
@@ -235,22 +239,49 @@ let last_notice node (e : entry) q =
   | Some i -> Some e.nw_vcs.(i)
   | None -> None
 
-let set_last_notice node (e : entry) q vc =
-  match Hashtbl.find_opt node.nw_idx (nw_key node e q) with
-  | Some i -> e.nw_vcs.(i) <- vc
-  | None ->
-    if e.nw_len = Array.length e.nw_procs then begin
-      let cap = max 4 (2 * e.nw_len) in
-      let procs = Array.make cap 0 and vcs = Array.make cap vc in
-      Array.blit e.nw_procs 0 procs 0 e.nw_len;
-      Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
-      e.nw_procs <- procs;
-      e.nw_vcs <- vcs
-    end;
-    e.nw_procs.(e.nw_len) <- q;
-    e.nw_vcs.(e.nw_len) <- vc;
-    Hashtbl.replace node.nw_idx (nw_key node e q) e.nw_len;
-    e.nw_len <- e.nw_len + 1
+(* The dominating-writer summary.  Coverage is the one-component test of
+   [Notice.covers]: [vc] covers a slot's notice [m] of writer [q] iff
+   [vc.(q) >= m.(q)], which by the transitive-clock invariant means
+   [vc >= m] componentwise.  Coverage is therefore transitive, and a
+   clock that covers the dominating slot covers every recorded notice. *)
+let covers_dominator (e : entry) vc =
+  e.nw_dom >= 0
+  &&
+  let q = e.nw_procs.(e.nw_dom) in
+  Vc.get vc q >= Vc.get e.nw_vcs.(e.nw_dom) q
+
+(* Record [vc] as writer [q]'s latest notice.  [covers_all]: the caller
+   has checked that [vc] covers every other recorded notice.  The new
+   slot becomes the dominator if that holds, if the map was empty, or
+   if [vc] covers the old dominator; otherwise the summary is lost
+   until a full scan re-derives it. *)
+let set_last_notice node (e : entry) q vc ~covers_all =
+  let dominates = covers_all || e.nw_len = 0 || covers_dominator e vc in
+  let slot =
+    (* [find] rather than [find_opt]: no option box per applied notice. *)
+    match Hashtbl.find node.nw_idx (nw_key node e q) with
+    | i ->
+      e.nw_vcs.(i) <- vc;
+      i
+    | exception Not_found ->
+      if e.nw_len = Array.length e.nw_procs then begin
+        let cap = max 4 (2 * e.nw_len) in
+        let procs = Array.make cap 0 and vcs = Array.make cap vc in
+        Array.blit e.nw_procs 0 procs 0 e.nw_len;
+        Array.blit e.nw_vcs 0 vcs 0 e.nw_len;
+        e.nw_procs <- procs;
+        e.nw_vcs <- vcs
+      end;
+      let i = e.nw_len in
+      e.nw_procs.(i) <- q;
+      e.nw_vcs.(i) <- vc;
+      Hashtbl.replace node.nw_idx (nw_key node e q) i;
+      e.nw_len <- i + 1;
+      i
+  in
+  e.nw_dom <- (if dominates then slot else -1)
+
+let forget_dominator (e : entry) = e.nw_dom <- -1
 
 let clear_last_notices node (e : entry) =
   for i = 0 to e.nw_len - 1 do
@@ -258,7 +289,8 @@ let clear_last_notices node (e : entry) =
   done;
   e.nw_procs <- [||];
   e.nw_vcs <- [||];
-  e.nw_len <- 0
+  e.nw_len <- 0;
+  e.nw_dom <- -1
 
 let fs_view_get (e : entry) q =
   Array.length e.fs_view = 0 || e.fs_view.(q)

@@ -49,6 +49,10 @@ type entry = {
         parallel arrays of writer ids / clocks, [nw_len] live slots *)
   mutable nw_vcs : Vc.t array;
   mutable nw_len : int;
+  mutable nw_dom : int;
+      (** dominating-writer summary: a slot whose notice covers every
+          recorded notice (so a clock covering it covers them all), or
+          [-1] = unknown; maintained by {!set_last_notice} *)
   mutable fs_view : bool array;
       (** per processor: piggybacked "I see this page as SW" flags (WFS
           rule 1); [[||]] = all [true] *)
@@ -237,8 +241,23 @@ val reflected_reset : entry -> unit
     the owning node's [nw_idx] slot index. *)
 val last_notice : node -> entry -> int -> Vc.t option
 
-val set_last_notice : node -> entry -> int -> Vc.t -> unit
+(** [covers_dominator e vc]: the entry has a dominating slot and [vc]
+    covers it ({!Notice.covers}'s one-component test) — hence, by the
+    transitive-clock invariant, [vc] covers every recorded notice. *)
+val covers_dominator : entry -> Vc.t -> bool
 
+(** [set_last_notice node e q vc ~covers_all] records [vc] as writer
+    [q]'s latest notice and maintains the dominating-writer summary:
+    the new slot dominates when [covers_all] (the caller checked that
+    [vc] covers every other slot), when the map was empty, or when [vc]
+    covers the old dominator; otherwise the summary becomes [-1]. *)
+val set_last_notice : node -> entry -> int -> Vc.t -> covers_all:bool -> unit
+
+(** Drop the dominating-writer summary but keep the writer map (crash
+    rollback: the rolled-back clock may break transitivity). *)
+val forget_dominator : entry -> unit
+
+(** Empty the writer map (and its summary). *)
 val clear_last_notices : node -> entry -> unit
 
 val fs_view_get : entry -> int -> bool

@@ -91,7 +91,14 @@ let crash_pause cl node =
         e.committed_version <- 0;
         reflected_reset e;
         clear_last_notices node e
-      end);
+      end
+      else
+        (* The durable entry keeps its writer map, but the clock is about
+           to roll back: an own snapshot taken on the rolled-back clock
+           may pass the one-component coverage test without covering
+           what the summary's transitivity argument assumes.  Drop the
+           summary; the next full scan re-derives it. *)
+        forget_dominator e);
   tlb_reset node;
   (* Remote diffs and remote interval logs are volatile caches. *)
   let dropped =

@@ -79,6 +79,27 @@ let test_list_ok () =
   Alcotest.(check int) "list: exit code" 0 code;
   Alcotest.(check bool) "list: mentions SOR" true (contains ~needle:"SOR" out)
 
+(* Every subcommand's manual must render: a malformed doc string makes
+   cmdliner print "cmdliner error: ..." on stderr while still exiting 0,
+   so the exit code alone would not catch it. *)
+let subcommands =
+  [ "run"; "fuzz"; "experiments"; "list"; "scaling"; "ablations"; "survive";
+    "verify" ]
+
+let test_help_renders () =
+  List.iter
+    (fun sub ->
+      let code, out, err = run_capture (sub ^ " --help=plain") in
+      Alcotest.(check int) (sub ^ " --help: exit code") 0 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s --help: no cmdliner error (stderr %S)" sub err)
+        false
+        (contains ~needle:"cmdliner error" err);
+      Alcotest.(check bool)
+        (sub ^ " --help: prints a manual") true
+        (contains ~needle:"NAME" out))
+    subcommands
+
 let () =
   Alcotest.run "cli"
     [
@@ -98,5 +119,10 @@ let () =
           Alcotest.test_case "unknown ablation study" `Quick
             test_unknown_ablation;
         ] );
-      ("smoke", [ Alcotest.test_case "list exits zero" `Quick test_list_ok ]);
+      ( "smoke",
+        [
+          Alcotest.test_case "list exits zero" `Quick test_list_ok;
+          Alcotest.test_case "every subcommand's --help renders" `Quick
+            test_help_renders;
+        ] );
     ]

@@ -173,6 +173,230 @@ let test_oracle_clean_under_crashes () =
     [ "sor"; "is"; "water" ]
 
 (* ------------------------------------------------------------------ *)
+(* False-sharing counters on the crash paths                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The concurrent-writer check takes an O(1) path through each page's
+   dominating-writer summary, and crash rollback must drop that summary
+   (Sync.crash_pause) or a rolled-back clock could skip a detection.
+   Sequential-vs-parallel identity cannot catch such a slip — both
+   engines share the summary — so these counters were recorded with the
+   dense per-writer scan and are pinned here: the crash-schedule cells
+   above (4 nodes, flat fabric), and IS/SW and Water/WFS at 64 nodes on
+   the tree fabric with and without the schedule. *)
+type pin = {
+  cell : string * Config.protocol * int * bool * bool;
+      (** app, protocol, nodes, tree fabric, crash schedule *)
+  fs_pages : int;
+  switches : int;
+  kinds : (string * (int * int)) list;
+}
+
+let pins =
+  [
+    {
+      cell = ("sor", Config.Mw, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (60, 6696));
+          ("diff", (120, 142628));
+          ("page", (16, 33024));
+          ("recover", (12, 1032));
+        ];
+    };
+    {
+      cell = ("sor", Config.Sw, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (60, 8472));
+          ("own", (24, 49440));
+          ("page", (112, 231168));
+          ("recover", (12, 264));
+        ];
+    };
+    {
+      cell = ("sor", Config.Wfs, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (60, 8328));
+          ("own", (24, 4600));
+          ("page", (112, 231168));
+          ("recover", (12, 408));
+        ];
+    };
+    {
+      cell = ("is", Config.Mw, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (30, 1176));
+          ("diff", (38, 34319));
+          ("lock", (18, 724));
+          ("page", (4, 8256));
+          ("recover", (12, 320));
+        ];
+    };
+    {
+      cell = ("is", Config.Sw, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (30, 1248));
+          ("lock", (18, 772));
+          ("own", (20, 33028));
+          ("page", (16, 33024));
+          ("recover", (12, 336));
+        ];
+    };
+    {
+      cell = ("is", Config.Wfs, 4, false, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (30, 1248));
+          ("lock", (18, 772));
+          ("own", (16, 336));
+          ("page", (16, 33024));
+          ("recover", (12, 336));
+        ];
+    };
+    {
+      cell = ("water", Config.Mw, 4, false, true);
+      fs_pages = 3;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (48, 5904));
+          ("diff", (304, 31172));
+          ("lock", (54, 2736));
+          ("page", (14, 28896));
+          ("recover", (12, 1072));
+        ];
+    };
+    {
+      cell = ("water", Config.Sw, 4, false, true);
+      fs_pages = 3;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (48, 7116));
+          ("lock", (54, 3112));
+          ("own", (182, 289116));
+          ("page", (144, 297216));
+          ("recover", (12, 372));
+        ];
+    };
+    {
+      cell = ("water", Config.Wfs, 4, false, true);
+      fs_pages = 3;
+      switches = 76;
+      kinds =
+        [
+          ("barrier", (48, 6428));
+          ("diff", (104, 9012));
+          ("lock", (54, 2908));
+          ("own", (78, 13926));
+          ("page", (112, 231168));
+          ("recover", (12, 364));
+        ];
+    };
+    {
+      cell = ("is", Config.Sw, 64, true, true);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (630, 1626872));
+          ("lock", (378, 817308));
+          ("own", (380, 529348));
+          ("page", (256, 559104));
+          ("recover", (252, 3176));
+        ];
+    };
+    {
+      cell = ("water", Config.Wfs, 64, true, true);
+      fs_pages = 7;
+      switches = 2270;
+      kinds =
+        [
+          ("barrier", (1008, 37458884));
+          ("diff", (35456, 13478260));
+          ("lock", (6263, 15040560));
+          ("own", (512, 72192));
+          ("page", (1008, 2201472));
+          ("recover", (252, 6088));
+        ];
+    };
+    {
+      cell = ("is", Config.Sw, 64, true, false);
+      fs_pages = 0;
+      switches = 0;
+      kinds =
+        [
+          ("barrier", (630, 1626872));
+          ("lock", (378, 817308));
+          ("own", (380, 529348));
+          ("page", (256, 559104));
+        ];
+    };
+    {
+      cell = ("water", Config.Wfs, 64, true, false);
+      fs_pages = 7;
+      switches = 2270;
+      kinds =
+        [
+          ("barrier", (1008, 37458884));
+          ("diff", (35456, 13478260));
+          ("lock", (6263, 15040560));
+          ("own", (512, 72192));
+          ("page", (1008, 2201472));
+        ];
+    };
+  ]
+
+let test_crash_counters_pinned () =
+  List.iter
+    (fun pin ->
+      let name, protocol, nprocs, tree, crashes = pin.cell in
+      let tweak cfg =
+        let cfg =
+          if tree then
+            Adsm_harness.Scaling.tweak_of_fabric
+              Adsm_harness.Scaling.Tree_combining cfg
+          else cfg
+        in
+        if crashes then with_faults crash_sched cfg else cfg
+      in
+      let m =
+        Runner.run ~tweak ~app:(app name) ~protocol ~nprocs
+          ~scale:Registry.Tiny ()
+      in
+      let label what =
+        Printf.sprintf "%s/%s/%d%s%s: %s" name
+          (Config.protocol_name protocol)
+          nprocs
+          (if tree then "/tree" else "")
+          (if crashes then "/crashes" else "")
+          what
+      in
+      Alcotest.(check int)
+        (label "pages_false_shared") pin.fs_pages m.Runner.pages_false_shared;
+      Alcotest.(check int)
+        (label "mode_switches") pin.switches m.Runner.mode_switches;
+      Alcotest.(check (list (pair string (pair int int))))
+        (label "by_kind") pin.kinds m.Runner.by_kind)
+    pins
+
+(* ------------------------------------------------------------------ *)
 (* Determinism and the disabled path                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,6 +606,8 @@ let () =
             test_apps_survive_crashes;
           Alcotest.test_case "oracle clean under crashes" `Slow
             test_oracle_clean_under_crashes;
+          Alcotest.test_case "false-sharing counters pinned" `Slow
+            test_crash_counters_pinned;
         ] );
       ( "determinism",
         [

@@ -233,6 +233,279 @@ let test_log_model () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Dominating-writer summary vs the dense concurrent-writer scan       *)
+(* ------------------------------------------------------------------ *)
+
+(* One page's writer map at node 0 of a small cluster, driven through
+   the real acquire path ([Lrc_core.apply_intervals]) and the real
+   release path ([Lrc_core.end_interval]).  The other processors are
+   modelled as plain int-array clocks built only by ticking and merging
+   whole clocks, so every notice timestamp obeys the transitive-clock
+   invariant the summary rests on.  A naive reference keeps each
+   writer's latest timestamp densely and re-runs the paper's
+   concurrency test against every writer for every notice; the
+   summarized path must produce exactly its false-sharing effects. *)
+
+module Config = Adsm_dsm.Config
+module State = Adsm_dsm.State
+module Stats = Adsm_dsm.Stats
+module Lrc_core = Adsm_dsm.Lrc_core
+module Notice = Adsm_dsm.Notice
+
+let writers = 6
+
+let page = 1 (* homed away from the observing node 0 *)
+
+let make_cluster protocol =
+  let cfg = Config.make ~protocol ~nprocs:writers () in
+  let engine = Adsm_sim.Engine.create ~lanes:writers () in
+  {
+    State.cfg;
+    engine;
+    rpc = Adsm_net.Rpc.create engine cfg.Config.net ~nodes:writers;
+    layout = Adsm_mem.Layout.create ();
+    nodes =
+      Array.init writers (fun id -> State.make_node ~cfg ~id ~total_pages:4);
+    stats = Stats.create ~nprocs:writers ();
+    barrier_mgr =
+      {
+        State.epoch = 0;
+        arrived = 0;
+        arrivals = [];
+        gc_requested = false;
+        gc_done_count = 0;
+      };
+    next_lock = 0;
+    running = 0;
+    tracer = Adsm_trace.Tracer.disabled;
+    recorder = Adsm_check.Recorder.disabled;
+  }
+
+let vc_of_array a =
+  let vc = Vc.zero ~nprocs:(Array.length a) in
+  Array.iteri (fun i v -> if v <> 0 then Vc.set vc i v) a;
+  vc
+
+let array_of_vc vc = Array.init (Vc.nprocs vc) (Vc.get vc)
+
+type world = {
+  cl : State.cluster;
+  obs : State.node;  (* node 0, whose entry for [page] is under test *)
+  clocks : int array array;  (* processors 1..: modelled clocks *)
+  ivals : Interval.t list array;  (* per processor, newest first *)
+  latest : int array option array;  (* reference writer map *)
+  mutable fs_shared : bool;  (* reference [Stats.page_false_shared] *)
+  mutable fs_active : bool;  (* reference [entry.fs_active] *)
+  mutable switches : int;  (* reference [Stats.mode_switches] *)
+  mutable detections : int;
+  mutable fast : int;  (* notices that met a dominating slot *)
+}
+
+let make_world protocol =
+  let cl = make_cluster protocol in
+  {
+    cl;
+    obs = cl.State.nodes.(0);
+    clocks = Array.init writers (fun _ -> Array.make writers 0);
+    ivals = Array.make writers [];
+    latest = Array.make writers None;
+    fs_shared = false;
+    fs_active = false;
+    switches = 0;
+    detections = 0;
+    fast = 0;
+  }
+
+let entry w = State.entry_of w.obs page
+
+(* The dense scan the summary replaces, on the reference map, followed
+   by the same skip rule and idempotent effects. *)
+let reference_apply w (n : Notice.t) =
+  let adaptive = w.cl.State.cfg.Config.protocol = Config.Wfs in
+  if (not w.fs_shared) || (adaptive && not w.fs_active) then begin
+    let nv = array_of_vc n.Notice.vc in
+    let found = ref false in
+    Array.iteri
+      (fun q -> function
+        | Some m when q <> n.Notice.proc ->
+          if nv.(q) < m.(q) && m.(n.Notice.proc) < n.Notice.seq then
+            found := true
+        | Some _ | None -> ())
+      w.latest;
+    if !found then begin
+      w.detections <- w.detections + 1;
+      w.fs_shared <- true;
+      if adaptive && not w.fs_active then begin
+        w.switches <- w.switches + 1;
+        w.fs_active <- true
+      end
+    end
+  end;
+  w.latest.(n.Notice.proc) <- Some (array_of_vc n.Notice.vc)
+
+(* The summary's invariant, checked densely: a dominating slot's clock
+   is componentwise at or above every recorded clock. *)
+let check_summary name w =
+  let e = entry w in
+  if e.State.nw_dom >= 0 then begin
+    let d = e.State.nw_vcs.(e.State.nw_dom) in
+    for i = 0 to e.State.nw_len - 1 do
+      if not (Vc.leq e.State.nw_vcs.(i) d) then
+        Alcotest.fail (name "dominating slot does not cover a writer")
+    done
+  end
+
+let check_effects name w =
+  let e = entry w in
+  let stats = w.cl.State.stats in
+  if Stats.page_false_shared stats ~page <> w.fs_shared then
+    Alcotest.fail (name "page_false_shared differs from the dense scan");
+  if e.State.fs_active <> w.fs_active then
+    Alcotest.fail (name "fs_active differs from the dense scan");
+  if Stats.mode_switches stats <> w.switches then
+    Alcotest.fail (name "mode switches differ from the dense scan");
+  check_summary name w
+
+(* Processor [p] closes an interval that wrote [page]. *)
+let remote_close w p =
+  let c = w.clocks.(p) in
+  c.(p) <- c.(p) + 1;
+  let vc = vc_of_array c in
+  let n = { Notice.page; proc = p; seq = c.(p); vc; version = None } in
+  w.ivals.(p) <- Interval.make_owned ~proc:p ~vc ~notices:[ n ] :: w.ivals.(p)
+
+let merge_into dst src = Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
+
+let obs_clock w = array_of_vc w.obs.State.vc
+
+(* Node 0 acquires from [p]: every interval [p] has seen and node 0 has
+   not goes through the real acquire path, one interval at a time in
+   [apply_intervals]' order, so the effects are compared per notice.
+   [rearm] (WFS only) clears the fs mode before each interval: with the
+   mode already active the check is skipped, which would hide every
+   later detection. *)
+let acquire_from ?(rearm = false) name w p =
+  let known = w.clocks.(p) in
+  let fresh =
+    List.concat
+      (List.init writers (fun q ->
+           if q = 0 then []
+           else
+             List.filter
+               (fun (iv : Interval.t) ->
+                 iv.Interval.seq > Vc.get w.obs.State.vc q
+                 && iv.Interval.seq <= known.(q))
+               w.ivals.(q)))
+  in
+  List.iter
+    (fun (iv : Interval.t) ->
+      if rearm && w.cl.State.cfg.Config.protocol = Config.Wfs then begin
+        (entry w).State.fs_active <- false;
+        w.fs_active <- false
+      end;
+      List.iter
+        (fun (n : Notice.t) ->
+          if State.covers_dominator (entry w) n.Notice.vc then
+            w.fast <- w.fast + 1;
+          reference_apply w n)
+        iv.Interval.notices;
+      Lrc_core.apply_intervals w.cl w.obs [ iv ];
+      check_effects name w)
+    (List.sort
+       (fun (a : Interval.t) b -> Vc.order a.Interval.vc b.Interval.vc)
+       fresh)
+
+(* Node 0 closes an interval that wrote [page], through [end_interval]. *)
+let own_close name w =
+  let e = entry w in
+  e.State.dirty <- true;
+  w.obs.State.dirty_pages <- [ page ];
+  Lrc_core.end_interval w.cl (module Adsm_dsm.Proto_sw) w.obs ~charge:ignore;
+  w.latest.(0) <- Some (obs_clock w);
+  check_effects name w
+
+let test_summary_model () =
+  List.iter
+    (fun protocol ->
+      for seed = 0 to 9 do
+        let rs = Random.State.make [| 0x5d0; seed |] in
+        let w = make_world protocol in
+        for step = 1 to 300 do
+          let name what =
+            Printf.sprintf "%s seed %d, step %d: %s"
+              (Config.protocol_name protocol) seed step what
+          in
+          let p = 1 + Random.State.int rs (writers - 1) in
+          (match Random.State.int rs 20 with
+          | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 ->
+            (* lock-ordered (migratory) write: [p] acquires from node 0,
+               writes, releases back to node 0 *)
+            merge_into w.clocks.(p) (obs_clock w);
+            remote_close w p;
+            acquire_from ~rearm:(Random.State.bool rs) name w p
+          | 8 | 9 ->
+            (* concurrent write: [p] writes without acquiring first *)
+            remote_close w p;
+            acquire_from ~rearm:(Random.State.bool rs) name w p
+          | 10 | 11 ->
+            (* [p] writes now, node 0 learns of it later *)
+            remote_close w p
+          | 12 | 13 ->
+            (* knowledge moves between two other processors *)
+            let q = 1 + Random.State.int rs (writers - 1) in
+            merge_into w.clocks.(p) w.clocks.(q)
+          | 14 | 15 | 16 | 17 -> own_close name w
+          | 18 -> acquire_from ~rearm:(Random.State.bool rs) name w p
+          | _ ->
+            (* GC / crash wipe of the page's metadata *)
+            State.clear_last_notices w.obs (entry w);
+            Array.fill w.latest 0 writers None;
+            check_effects name w)
+        done;
+        let name what =
+          Printf.sprintf "%s seed %d: %s" (Config.protocol_name protocol) seed what
+        in
+        if w.detections = 0 then Alcotest.fail (name "no concurrent writer ever found");
+        if w.fast = 0 then Alcotest.fail (name "the summary never held")
+      done)
+    [ Config.Wfs; Config.Mw ]
+
+(* A long lock-ordered run keeps a dominating slot (every check is the
+   O(1) fast path); one concurrent writer then drops the summary and is
+   still detected, and the next ordered write's full scan re-derives
+   the summary. *)
+let test_summary_drops () =
+  let w = make_world Config.Wfs in
+  let name what = "dominating run: " ^ what in
+  let ordered_write ?rearm p =
+    merge_into w.clocks.(p) (obs_clock w);
+    remote_close w p;
+    acquire_from ?rearm name w p
+  in
+  (* Writers 1..5 in turn, node 0 closing every third step. *)
+  for i = 1 to 60 do
+    ordered_write (1 + (i mod (writers - 1)));
+    if (entry w).State.nw_dom < 0 then Alcotest.fail (name "summary lost");
+    if i mod 3 = 0 then own_close name w;
+    if (entry w).State.nw_dom < 0 then
+      Alcotest.fail (name "summary lost at own close")
+  done;
+  Alcotest.(check int) "every ordered notice took the fast path" 59 w.fast;
+  Alcotest.(check bool) "ordered writes are not false sharing" false
+    (Stats.page_false_shared w.cl.State.stats ~page);
+  (* Writer 2 last acquired at step 56: four writers and an own close
+     have happened since, none of which it has seen. *)
+  remote_close w 2;
+  acquire_from name w 2;
+  Alcotest.(check bool) "concurrent writer detected" true
+    (Stats.page_false_shared w.cl.State.stats ~page);
+  Alcotest.(check bool) "fs mode switched to MW" true (entry w).State.fs_active;
+  Alcotest.(check int) "summary dropped" (-1) (entry w).State.nw_dom;
+  ordered_write 3 ~rearm:true;
+  if (entry w).State.nw_dom < 0 then
+    Alcotest.fail "the full scan did not re-derive the summary"
+
 let () =
   Alcotest.run "model"
     [
@@ -242,4 +515,11 @@ let () =
       ( "interval-log",
         [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
       );
+      ( "writer-summary",
+        [
+          Alcotest.test_case "summarized vs dense scan (seeded)" `Quick
+            test_summary_model;
+          Alcotest.test_case "concurrent writer after a dominating run" `Quick
+            test_summary_drops;
+        ] );
     ]
