@@ -48,6 +48,10 @@ let faults_of_spec ~nprocs = function
       | Error msg -> Error (Printf.sprintf "bad --faults: %s" msg)
       | Ok () -> Ok (Some sched)))
 
+(* Every name [Config.protocol_of_string] accepts, for help and errors. *)
+let protocol_names =
+  String.concat ", " (List.map Config.protocol_name Config.extended_protocols)
+
 let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
     check faults_spec net topology par =
   match Registry.find app_name with
@@ -61,8 +65,8 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
     match Config.protocol_of_string protocol_name with
     | None ->
       Printf.eprintf
-        "unknown protocol %S (MW, SW, WFS, WFS+WG, HLRC)\n"
-        protocol_name;
+        "unknown protocol %S (%s)\n"
+        protocol_name protocol_names;
       1
     | Some protocol -> (
       match faults_of_spec ~nprocs faults_spec with
@@ -190,10 +194,23 @@ let app_arg =
 let protocol_arg =
   Arg.(
     value & opt string "WFS"
-    & info [ "protocol"; "p" ] ~doc:"Protocol: MW, SW, WFS or WFS+WG.")
+    & info [ "protocol"; "p" ] ~doc:("Protocol: " ^ protocol_names ^ "."))
+
+(* Rejecting a non-positive count here makes every subcommand fail as a
+   usage error (exit 124) instead of an uncaught [Config.make] exception. *)
+let procs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ ->
+      Error (Printf.sprintf "--procs must be a positive integer, got %S" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
 
 let procs_arg =
-  Arg.(value & opt int 8 & info [ "procs"; "n" ] ~doc:"Simulated processors.")
+  Arg.(
+    value & opt procs_conv 8
+    & info [ "procs"; "n" ] ~doc:"Simulated processors (a positive integer).")
 
 let tiny_arg =
   Arg.(value & flag & info [ "tiny" ] ~doc:"Use tiny (test-size) inputs.")
@@ -290,8 +307,8 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
   match Config.protocol_of_string protocol_name with
   | None ->
     Printf.eprintf
-      "unknown protocol %S (MW, SW, WFS, WFS+WG, HLRC)\n"
-      protocol_name;
+      "unknown protocol %S (%s)\n"
+      protocol_name protocol_names;
     1
   | Some protocol -> (
     let mutation =

@@ -47,6 +47,12 @@ module Log = struct
 
   let create () = { a = [||]; len = 0; sorted = true }
 
+  (* Shared by every processor that has logged nothing yet: a 1024-node
+     cluster would otherwise build a million empty logs up front.  It is
+     never written — [append] refuses it and [clear] skips empty logs —
+     so domains of the parallel engine can share it freely. *)
+  let empty = create ()
+
   let length l = l.len
 
   let get l i =
@@ -58,6 +64,7 @@ module Log = struct
        mutations ([Stale_vc_after_restart]) reissue sequence numbers on
        purpose; the log then degrades to the historical linear-filter
        behavior instead of misindexing (or refusing) the duplicates. *)
+    if l == empty then invalid_arg "Interval.Log.append: shared empty log";
     if l.len > 0 && iv.seq <= l.a.(l.len - 1).seq then l.sorted <- false;
     if l.len = Array.length l.a then begin
       let a = Array.make (max 8 (2 * l.len)) dummy in
@@ -68,9 +75,11 @@ module Log = struct
     l.len <- l.len + 1
 
   let clear l =
-    Array.fill l.a 0 l.len dummy;
-    l.len <- 0;
-    l.sorted <- true
+    if l.len > 0 then begin
+      Array.fill l.a 0 l.len dummy;
+      l.len <- 0;
+      l.sorted <- true
+    end
 
   (* Index of the first logged interval with [seq > s] (= [len] if
      none): binary search over the ascending seqs, linear scan on a log

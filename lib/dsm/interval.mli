@@ -45,15 +45,22 @@ module Log : sig
 
   val create : unit -> t
 
+  (** A shared, permanently empty log: a placeholder for processors that
+      have logged nothing yet.  {!append} rejects it; replace it with a
+      {!create}d log first. *)
+  val empty : t
+
   val length : t -> int
 
   (** [get l i] — the [i]-th oldest retained interval. *)
   val get : t -> int -> interval
 
-  (** Append; [iv.seq] must exceed the last logged seq (asserted). *)
+  (** Append; [iv.seq] must exceed the last logged seq (asserted).
+      Raises [Invalid_argument] on {!empty}. *)
   val append : t -> interval -> unit
 
-  (** Drop every logged interval, keeping the capacity. *)
+  (** Drop every logged interval, keeping the capacity.  A no-op on an
+      empty log (so never a write to {!empty}). *)
   val clear : t -> unit
 
   (** Index of the first logged interval with [seq > s] ([length] if

@@ -266,7 +266,7 @@ let end_interval cl (module P : Protocol_intf.PROTOCOL) node ~charge =
       Interval.make_owned ~proc:node.id ~vc:vc_snapshot
         ~notices:(List.rev !notices)
     in
-    Interval.Log.append node.intervals.(node.id) ival
+    log_append node ival
   end;
   if !total_cost > 0 then charge !total_cost
 
@@ -392,7 +392,7 @@ let apply_intervals ?(replay = false) cl node ivals =
   in
   let apply (iv : Interval.t) =
     if iv.seq > Vc.get node.vc iv.proc then begin
-      Interval.Log.append node.intervals.(iv.proc) iv;
+      log_append node iv;
       List.iter (apply_notice ~replay cl node) iv.notices;
       (* The full clock merge reduces to advancing the sender component.
          Interval chains are transitively complete: a dependency of [iv]
@@ -407,15 +407,31 @@ let apply_intervals ?(replay = false) cl node ivals =
   in
   List.iter apply fresh
 
-(* All intervals this node knows that [vc] does not cover. *)
+(* All intervals this node knows that [vc] does not cover.  The logs are
+   walked highest processor first, so the list comes out grouped by
+   ascending processor, each log newest-first.
+
+   When [vc] provably covers the node's last-barrier snapshot, only the
+   epoch journal's processors can have anything [vc] misses (see
+   [State.log_append]): walk those, in the same order, for exactly the
+   dense walk's list — O(writers since the barrier) instead of
+   O(nprocs).  Barrier releases and lock grants hit this path; the dense
+   walk remains for an invalid journal (overflow, crash this epoch) and
+   for clocks it cannot vouch for: recovery's zero clock, or a clock
+   based on an older barrier than the node's own. *)
 let collect_unseen cl node vc =
-  (* Walk the per-processor logs newest-proc-last so the accumulated
-     list keeps each log's newest-first orientation; every consumer
-     sorts by [Vc.order] before applying, so only the SET matters. *)
   let acc = ref [] in
-  for p = cl.cfg.Config.nprocs - 1 downto 0 do
-    acc := Interval.Log.unseen_by vc ~proc:p node.intervals.(p) !acc
-  done;
+  if journal_valid node
+     && Vc.dominates_snapshot vc ~snapshot:node.last_barrier_vc
+  then
+    for k = node.journal_len - 1 downto 0 do
+      let p = node.journal.(k) in
+      acc := Interval.Log.unseen_by vc ~proc:p node.intervals.(p) !acc
+    done
+  else
+    for p = cl.cfg.Config.nprocs - 1 downto 0 do
+      acc := Interval.Log.unseen_by vc ~proc:p node.intervals.(p) !acc
+    done;
   !acc
 
 (* ------------------------------------------------------------------ *)

@@ -68,7 +68,11 @@ val apply_notice : ?replay:bool -> cluster -> node -> Notice.t -> unit
 val apply_intervals :
   ?replay:bool -> cluster -> node -> Interval.t list -> unit
 
-(** All intervals this node knows that [vc] does not cover. *)
+(** All intervals this node knows that [vc] does not cover, grouped by
+    ascending processor, each group newest-first.  O(processors in the
+    epoch journal) when [vc] {!Vc.dominates_snapshot} the node's
+    last-barrier clock and the journal is valid, O(nprocs) otherwise;
+    both give the same list. *)
 val collect_unseen : cluster -> node -> Vc.t -> Interval.t list
 
 (** Is the notice's modification still missing from this node's copy? *)

@@ -73,16 +73,16 @@ type tlb = {
 }
 
 (* Per-node combining state for the tree barrier (Config.Tree).  A node
-   folds its own arrival and each direct child's into [tb_vcmin] (the
-   componentwise MINIMUM — the knowledge every member of the subtree
-   shares) and [tb_intervals], then forwards one combined arrival to its
-   parent.  The fields are reset when the node fans its release down. *)
+   folds its own arrival and each direct child's into the node's
+   [barrier_vc] (the componentwise MINIMUM — the knowledge every member
+   of the subtree shares) and [tb_intervals], then forwards one combined
+   arrival to its parent.  The fields are reset when the node fans its
+   release down. *)
 type tree_barrier = {
   mutable tb_epoch : int;
   mutable tb_arrived : int;  (* direct children whose subtrees arrived *)
   mutable tb_self_arrived : bool;
-  mutable tb_vc_valid : bool;  (* [tb_vcmin] holds at least one arrival *)
-  tb_vcmin : Vc.t;  (* preallocated: no per-barrier O(nprocs) allocation *)
+  mutable tb_vc_valid : bool;  (* [barrier_vc] holds at least one arrival *)
   mutable tb_intervals : Interval.t list;
   mutable tb_gc_wanted : bool;
   mutable tb_child_vcs : (int * Vc.t) list;
@@ -112,6 +112,13 @@ type node = {
          (rule 3, GC validation/purge, post-run checks) is a no-op on it:
          laziness is observationally identical to the old eager array. *)
   intervals : Interval.Log.t array;
+      (* [Interval.Log.empty] until the processor's first interval lands
+         here ([log_append]); a dense array of real logs would cost
+         O(nprocs^2) records per cluster before anything happens. *)
+  journal : int array;
+  mutable journal_len : int;
+      (* The epoch journal, see [log_append]: [journal.(0 ..
+         journal_len-1)] ascending, -1 = invalid until the next barrier. *)
   nw_idx : (int, int) Hashtbl.t;
       (* (page * nprocs + proc) -> slot in that entry's [nw_procs] /
          [nw_vcs] arrays: O(1) last-notice lookup without a dense
@@ -123,7 +130,12 @@ type node = {
   own_waits : (int, Msg.t Proc.Ivar.t) Hashtbl.t;
   mutable barrier_wait : Msg.t Proc.Ivar.t option;
   mutable gc_wait : unit Proc.Ivar.t option;
-  mutable last_barrier_vc : Vc.t;
+  last_barrier_vc : Vc.t;
+  barrier_vc : Vc.t;
+      (* the clock this node's barrier arrival carries: its own clock
+         (central) or its subtree minimum (tree).  Reused every barrier —
+         the receiver may hold it by reference until it releases this
+         node, and the node is blocked until then. *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
   mutable tlb : tlb option;
@@ -309,6 +321,11 @@ let copyset_add (e : entry) ~nprocs q =
 let copyset_iter (e : entry) f =
   Array.iteri (fun q in_set -> if in_set then f q) e.copyset
 
+(* Journal slots per node.  Like [Vc]'s dirty capacity an internal
+   constant: a barrier epoch with more distinct writers than this just
+   overflows into the dense walk. *)
+let journal_cap = 64
+
 let make_node ~cfg ~id ~total_pages =
   let nprocs = cfg.Config.nprocs in
   let vc = Vc.zero ~nprocs in
@@ -323,7 +340,9 @@ let make_node ~cfg ~id ~total_pages =
     nprocs;
     vc;
     pages = Array.make total_pages None;
-    intervals = Array.init nprocs (fun _ -> Interval.Log.create ());
+    intervals = Array.make nprocs Interval.Log.empty;
+    journal = Array.make (min nprocs journal_cap) 0;
+    journal_len = 0;
     nw_idx = Hashtbl.create 64;
     dirty_pages = [];
     diffs = Hashtbl.create 256;
@@ -333,6 +352,7 @@ let make_node ~cfg ~id ~total_pages =
     barrier_wait = None;
     gc_wait = None;
     last_barrier_vc;
+    barrier_vc = Vc.zero ~nprocs;
     barrier_epoch = 0;
     hlrc_waiting = [];
     tlb = None;
@@ -346,7 +366,6 @@ let make_node ~cfg ~id ~total_pages =
             tb_arrived = 0;
             tb_self_arrived = false;
             tb_vc_valid = false;
-            tb_vcmin = Vc.zero ~nprocs;
             tb_intervals = [];
             tb_gc_wanted = false;
             tb_child_vcs = [];
@@ -361,6 +380,82 @@ let make_node ~cfg ~id ~total_pages =
     restart_wait = None;
     crash_count = 0;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Interval logs and the epoch journal                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The epoch journal lists the processors whose log gained an interval
+   above the node's last-barrier snapshot since that snapshot was taken.
+   Invariant while valid: every logged interval of a processor NOT in the
+   journal is covered by [last_barrier_vc].  A clock provably at or above
+   the snapshot ([Vc.dominates_snapshot]) therefore misses only intervals
+   of journaled processors, and [collect_unseen] walks those instead of
+   all [nprocs] logs.  The invariant breaks only where [last_barrier_vc]
+   is rewritten without a reset (crash rollback: [journal_invalidate])
+   and on overflow; both leave the journal invalid — dense walks — until
+   the next [barrier_rebase]. *)
+let journal_valid node = node.journal_len >= 0
+
+let journal_invalidate node = node.journal_len <- -1
+
+(* Insert [p], keeping the slots ascending: the fast walk then returns
+   exactly the dense walk's list, order included.  Binary search for
+   membership: a processor is journaled once per epoch. *)
+let journal_note node p =
+  let j = node.journal and n = node.journal_len in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if j.(mid) < p then lo := mid + 1 else hi := mid
+  done;
+  if !lo = n || j.(!lo) <> p then
+    if n = Array.length j then journal_invalidate node
+    else begin
+      Array.blit j !lo j (!lo + 1) (n - !lo);
+      j.(!lo) <- p;
+      node.journal_len <- n + 1
+    end
+
+(* Append a received or own interval to its processor's log, creating
+   the log on first use and journaling the processor if the interval is
+   above the last-barrier snapshot. *)
+let log_append node (iv : Interval.t) =
+  let p = iv.proc in
+  let l =
+    let l = node.intervals.(p) in
+    if l != Interval.Log.empty then l
+    else begin
+      let l = Interval.Log.create () in
+      node.intervals.(p) <- l;
+      l
+    end
+  in
+  if journal_valid node && iv.seq > Vc.get node.last_barrier_vc p then
+    journal_note node p;
+  Interval.Log.append l iv
+
+(* Barrier completion: the node's clock now equals the epoch's global
+   supremum.  Snapshot it into [last_barrier_vc] in place, rebase the
+   clock on it and stamp the snapshot with [epoch], then restart the
+   journal empty: every logged interval is covered by the new snapshot —
+   received ones by the clock they advanced, own ones because the node's
+   arrival carried every own interval above its old snapshot into the
+   supremum (even after a seeded recovery mutation rolled its own clock
+   component back).
+
+   The clock only moves by logging an interval — [Vc.tick] at an own
+   close, [Vc.set] to an applied interval's seq — and [log_append]
+   journals every processor whose log passed the snapshot: while the
+   journal is valid, the clock and the old snapshot differ only at
+   journaled components, and the refresh copies just those. *)
+let barrier_rebase node ~epoch =
+  if journal_valid node then
+    Vc.blit_changed ~src:node.vc ~dst:node.last_barrier_vc
+      ~changed:node.journal ~len:node.journal_len
+  else Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc;
+  Vc.rebase node.vc ~base:node.last_barrier_vc ~epoch;
+  node.journal_len <- 0
 
 let scratch node =
   match node.diff_scratch with

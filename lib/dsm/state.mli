@@ -111,17 +111,14 @@ type tlb = {
 
 (** Per-node combining state for the tree barrier ([Config.Tree]): a node
     folds its own arrival and each direct child subtree's into the
-    componentwise-minimum clock [tb_vcmin] (the knowledge every subtree
+    componentwise-minimum clock [barrier_vc] (the knowledge every subtree
     member shares) and the concatenated interval list, then forwards ONE
     combined arrival to its parent.  Reset when the release fans down. *)
 type tree_barrier = {
   mutable tb_epoch : int;
   mutable tb_arrived : int;  (** direct children whose subtrees arrived *)
   mutable tb_self_arrived : bool;
-  mutable tb_vc_valid : bool;  (** [tb_vcmin] holds at least one arrival *)
-  tb_vcmin : Vc.t;
-      (** preallocated — the tree barrier never allocates an O(nprocs)
-          clock per barrier *)
+  mutable tb_vc_valid : bool;  (** [barrier_vc] holds at least one arrival *)
   mutable tb_intervals : Interval.t list;
   mutable tb_gc_wanted : bool;
   mutable tb_child_vcs : (int * Vc.t) list;
@@ -148,7 +145,13 @@ type node = {
           Untouched pages hold no protocol state, so lazy creation is
           observationally identical. *)
   intervals : Interval.Log.t array;
-      (** per processor, ascending seq (see {!Interval.Log}) *)
+      (** per processor, ascending seq (see {!Interval.Log});
+          {!Interval.Log.empty} until the first {!log_append} *)
+  journal : int array;
+  mutable journal_len : int;
+      (** the epoch journal (see {!log_append}): the first [journal_len]
+          slots, ascending; [-1] = invalid until the next
+          {!barrier_rebase} *)
   nw_idx : (int, int) Hashtbl.t;
       (** (page * nprocs + proc) -> slot in the entry's last-notice
           arrays; see {!last_notice} *)
@@ -162,8 +165,14 @@ type node = {
       (** page -> continuation of a blocked SW ownership transfer *)
   mutable barrier_wait : Msg.t Adsm_sim.Proc.Ivar.t option;
   mutable gc_wait : unit Adsm_sim.Proc.Ivar.t option;
-  mutable last_barrier_vc : Vc.t;
-      (** manager knowledge at the last barrier (bounds what we resend) *)
+  last_barrier_vc : Vc.t;
+      (** the clock at the last barrier completion, epoch-stamped
+          (bounds what we resend; the sparse-VC delta base) *)
+  barrier_vc : Vc.t;
+      (** the clock this node's barrier arrival carries — its own clock
+          (central) or its subtree minimum (tree) — reused every barrier:
+          receivers hold it by reference only until they release this
+          node, which stays blocked until then *)
   mutable barrier_epoch : int;
   mutable hlrc_waiting : (int * (int * int) list * Msg.t Adsm_net.Rpc.respond) list;
       (** HLRC: deferred fetch replies (page, needed (proc,seq) pairs,
@@ -270,6 +279,34 @@ val copyset_add : entry -> nprocs:int -> int -> unit
 val copyset_iter : entry -> (int -> unit) -> unit
 
 val make_node : cfg:Config.t -> id:int -> total_pages:int -> node
+
+(** {2 Interval logs and the epoch journal}
+
+    The journal lists the processors whose log gained an interval above
+    [last_barrier_vc] since the last {!barrier_rebase}.  While valid,
+    every logged interval of an unjournaled processor is covered by
+    [last_barrier_vc], so a clock that {!Vc.dominates_snapshot} it can
+    only be missing intervals of journaled processors. *)
+
+(** Append to the interval's processor log (creating it on first use)
+    and journal the processor if the interval is above the last-barrier
+    snapshot.  Every log append goes through here.  More distinct
+    processors than the journal's fixed capacity invalidate it. *)
+val log_append : node -> Interval.t -> unit
+
+(** The journal's invariant holds (no overflow, no crash since the last
+    {!barrier_rebase}). *)
+val journal_valid : node -> bool
+
+(** Mark the journal unusable until the next {!barrier_rebase} (crash
+    rollback rewrites [last_barrier_vc] under it). *)
+val journal_invalidate : node -> unit
+
+(** Barrier completion: copy the clock into [last_barrier_vc] in place,
+    {!Vc.rebase} the clock on it with epoch stamp [epoch], and restart
+    the journal empty.  PRECONDITION: the clock equals the epoch's
+    global supremum. *)
+val barrier_rebase : node -> epoch:int -> unit
 
 (** Get-or-create the node's entry for a page.  A lazily-created entry is
     exactly what the eager initialization used to build: zero-page base,

@@ -111,6 +111,8 @@ let crash_pause cl node =
   for p = 0 to node.nprocs - 1 do
     if p <> node.id then Interval.Log.clear node.intervals.(p)
   done;
+  (* The rollback below rewrites [last_barrier_vc] under the journal. *)
+  journal_invalidate node;
   (* Roll the vector clock back to the checkpoint — except our own
      component, whose intervals are in the durable log (rolling it back
      would reuse sequence numbers).  The [Stale_vc_after_restart]
@@ -202,7 +204,7 @@ let crash_pause cl node =
     in
     List.iter
       (fun (iv : Interval.t) ->
-        Interval.Log.append node.intervals.(iv.proc) iv;
+        log_append node iv;
         List.iter (Lrc_core.apply_notice ~replay:true cl node) iv.notices)
       covered;
     Lrc_core.apply_intervals ~replay:true cl node uncovered
@@ -463,12 +465,15 @@ let tree_iter_children ~fanout ~nprocs id f =
   done
 
 (* Fold one arrival (the node's own, or a child subtree's combined one)
-   into the local combining state.  Clock components are copied into the
-   preallocated [tb_vcmin]; nothing O(nprocs) is allocated. *)
-let tree_contribute tb ~epoch ~vc ~intervals ~gc_wanted =
+   into the local combining state.  Clock components go into the node's
+   preallocated [barrier_vc]; nothing O(nprocs) is allocated.  The first
+   arrival is copied with its delta base and dirty set, so the minimum
+   folds in only the arrivals' dirty components and the upward
+   Barrier_arrive is sized from the dirty set too (see [Vc.min_into]). *)
+let tree_contribute node tb ~epoch ~vc ~intervals ~gc_wanted =
   if not tb.tb_vc_valid then begin
     tb.tb_epoch <- epoch;
-    Vc.blit_into ~src:vc ~dst:tb.tb_vcmin;
+    Vc.copy_into ~src:vc ~dst:node.barrier_vc;
     tb.tb_vc_valid <- true
   end
   else begin
@@ -476,7 +481,7 @@ let tree_contribute tb ~epoch ~vc ~intervals ~gc_wanted =
       failwith
         (Printf.sprintf "Proto: tree barrier epoch mismatch (%d vs %d)" epoch
            tb.tb_epoch);
-    Vc.min_into tb.tb_vcmin vc
+    Vc.min_into node.barrier_vc vc
   end;
   (* Order is irrelevant: apply_intervals sorts by timestamp. *)
   tb.tb_intervals <- List.rev_append intervals tb.tb_intervals;
@@ -512,14 +517,14 @@ let tree_maybe_forward cl node tb ~fanout =
         (Msg.Barrier_arrive
            {
              epoch = tb.tb_epoch;
-             vc = tb.tb_vcmin;
+             vc = node.barrier_vc;
              intervals = tb.tb_intervals;
              gc_wanted = tb.tb_gc_wanted;
            })
 
 let tree_handle_arrive cl node ~fanout ~src ~vc ~intervals ~gc_wanted epoch =
   let tb = tree_state node in
-  tree_contribute tb ~epoch ~vc ~intervals ~gc_wanted;
+  tree_contribute node tb ~epoch ~vc ~intervals ~gc_wanted;
   tb.tb_arrived <- tb.tb_arrived + 1;
   tb.tb_child_vcs <- (src, vc) :: tb.tb_child_vcs;
   tree_maybe_forward cl node tb ~fanout
@@ -690,7 +695,10 @@ let barrier cl node =
   in
   (match cl.cfg.Config.barrier with
   | Config.Central ->
-    let vc = Vc.copy node.vc in
+    (* The manager keeps the arrival clock by reference until it releases
+       us, and we are blocked until then: a per-node reused snapshot. *)
+    let vc = node.barrier_vc in
+    Vc.copy_into ~src:node.vc ~dst:vc;
     if node.id = 0 then
       handle_barrier_arrive cl node ~src:0 ~vc ~intervals:own_intervals
         ~gc_wanted epoch
@@ -699,32 +707,36 @@ let barrier cl node =
         (Msg.Barrier_arrive { epoch; vc; intervals = own_intervals; gc_wanted })
   | Config.Tree { fanout } ->
     (* Own arrival: fold our clock into the preallocated subtree minimum
-       (no copy) and forward the combined arrival if the children already
+       (no allocation) and forward the combined arrival if the children already
        all checked in. *)
     let tb = tree_state node in
-    tree_contribute tb ~epoch ~vc:node.vc ~intervals:own_intervals ~gc_wanted;
+    tree_contribute node tb ~epoch ~vc:node.vc ~intervals:own_intervals
+      ~gc_wanted;
     tb.tb_self_arrived <- true;
     tree_maybe_forward cl node tb ~fanout);
   (match Proc.Ivar.await ivar with
   | Msg.Barrier_release { intervals; gc_round; _ } ->
     Lrc_core.apply_intervals cl node intervals;
     (match cl.cfg.Config.barrier with
-    | Config.Central -> node.last_barrier_vc <- Vc.copy node.vc
+    | Config.Central -> ()
     | Config.Tree _ ->
       (* Knowledge is complete now; release the children before the
-         (possibly long) rule-3 scan and GC work below. *)
-      tree_fan_release cl node ~epoch ~gc_round;
-      Vc.blit_into ~src:node.vc ~dst:node.last_barrier_vc);
-    (* The clock now equals the refreshed last-barrier snapshot: rebase
-       so the sparse-VC wire accounting of everything piggybacking this
-       clock (or copies of it — intervals, arrivals, acquires) counts
-       only post-barrier components instead of scanning all [nprocs].
-       Every node completing this barrier holds the same supremum, so
-       stamp the snapshot with the epoch number ([epoch + 1], keeping 0
-       for the initial all-zeros stamp of [make_node]): clocks relayed
-       between nodes stay delta-comparable against the receiver's own
-       snapshot of the same epoch. *)
-    Vc.rebase node.vc ~base:node.last_barrier_vc ~epoch:(epoch + 1);
+         (possibly long) rule-3 scan and GC work below.  Before the
+         rebase: the children's clocks are based on the epoch that is
+         ending, which only this epoch's journal can answer — after the
+         rebase their releases would take the dense walk. *)
+      tree_fan_release cl node ~epoch ~gc_round);
+    (* Snapshot the clock as the new last-barrier knowledge and rebase on
+       it, so the sparse-VC wire accounting of everything piggybacking
+       this clock (or copies of it — intervals, arrivals, acquires)
+       counts only post-barrier components instead of scanning all
+       [nprocs].  Every node completing this barrier holds the same
+       supremum, so stamp the snapshot with the epoch number ([epoch +
+       1], keeping 0 for the initial all-zeros stamp of [make_node]):
+       clocks relayed between nodes stay delta-comparable against the
+       receiver's own snapshot of the same epoch.  The epoch journal
+       restarts here. *)
+    barrier_rebase node ~epoch:(epoch + 1);
     rule3_scan cl node;
     if gc_round then begin
       let gc_ivar = Proc.Ivar.create () in

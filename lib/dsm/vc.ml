@@ -34,7 +34,9 @@ type t = {
   mutable ndirty : int;  (* -1 = overflowed: fall back to dense scans *)
   mutable epoch : int;  (* >= 0 iff this clock is a stamped epoch base *)
   mutable epoch_ver : int;  (* [ver] at the moment of stamping *)
-  mutable mono : bool;  (* components have only grown since the rebase *)
+  mutable mono : bool;
+      (* every component is at or above the base's: set by the rebase,
+         kept by growth and by a same-epoch [min_into] *)
   mutable dcache_epoch : int;  (* epoch of the cached delta count, -1 none *)
   mutable dcache_ver : int;  (* [ver] when the count was cached *)
   mutable dcache : int;  (* differing components vs that epoch's content *)
@@ -90,7 +92,8 @@ let copy t =
     ver = 0;
     base = t.base;
     base_ver = t.base_ver;
-    dirty = (if Array.length t.dirty = 0 then [||] else Array.copy t.dirty);
+    (* an empty or overflowed dirty set has no slots worth copying *)
+    dirty = (if t.ndirty <= 0 then [||] else Array.copy t.dirty);
     ndirty = t.ndirty;
     epoch = -1;  (* being an epoch base is not inherited *)
     epoch_ver = 0;
@@ -134,6 +137,14 @@ let tick t ~proc =
   touched t;
   mark_dirty t proc
 
+(* [a]'s recorded base is an epoch stamp that was current when [a] was
+   rebased onto it: [a]'s non-dirty components equal that epoch's
+   snapshot, whatever the base object holds now. *)
+let stamped_base a =
+  match a.base with
+  | Some b when b.epoch >= 0 && a.base_ver = b.epoch_ver -> b.epoch
+  | _ -> -1
+
 let merge_into t other =
   if t != other then begin
     if Array.length t.c <> Array.length other.c then
@@ -153,12 +164,8 @@ let merge_into t other =
     let fast =
       t.mono && other.ndirty >= 0
       &&
-      match (t.base, other.base) with
-      | Some tb, Some ob ->
-        tb.epoch >= 0 && tb.epoch = ob.epoch
-        && t.base_ver = tb.epoch_ver
-        && other.base_ver = ob.epoch_ver
-      | _ -> false
+      let e = stamped_base t in
+      e >= 0 && stamped_base other = e
     in
     if fast then
       for j = 0 to other.ndirty - 1 do
@@ -172,36 +179,84 @@ let merge_into t other =
     if !changed then touched t
   end
 
-let blit_into ~src ~dst =
-  if Array.length src.c <> Array.length dst.c then
-    invalid_arg "Vc.blit_into: size mismatch";
-  Array.blit src.c 0 dst.c 0 (Array.length src.c);
+let check_width what a b =
+  if Array.length a.c <> Array.length b.c then
+    invalid_arg ("Vc." ^ what ^ ": size mismatch")
+
+(* Bookkeeping once [dst]'s components are [src]'s: any epoch stamp
+   [dst] carried no longer describes its content. *)
+let overwritten ~src ~dst =
   dst.sum <- src.sum;
   touched dst;
-  (* The overwritten content bears no relation to [dst]'s old base, and
-     any epoch stamp it carried no longer describes its content. *)
-  dst.base <- None;
-  dst.ndirty <- 0;
-  dst.epoch <- -1;
-  dst.mono <- false
+  dst.epoch <- -1
+
+(* The new content bears no relation to [dst]'s old base. *)
+let drop_base t =
+  t.base <- None;
+  t.ndirty <- 0;
+  t.mono <- false
+
+let blit_into ~src ~dst =
+  check_width "blit_into" src dst;
+  Array.blit src.c 0 dst.c 0 (Array.length src.c);
+  overwritten ~src ~dst;
+  drop_base dst
+
+let blit_changed ~src ~dst ~changed ~len =
+  check_width "blit_changed" src dst;
+  for k = 0 to len - 1 do
+    let i = changed.(k) in
+    dst.c.(i) <- src.c.(i)
+  done;
+  overwritten ~src ~dst;
+  drop_base dst
+
+let copy_into ~src ~dst =
+  if src != dst then begin
+    check_width "copy_into" src dst;
+    Array.blit src.c 0 dst.c 0 (Array.length src.c);
+    overwritten ~src ~dst;
+    dst.base <- src.base;
+    dst.base_ver <- src.base_ver;
+    if src.ndirty > 0 then begin
+      if Array.length dst.dirty = 0 then dst.dirty <- Array.make dirty_cap 0;
+      Array.blit src.dirty 0 dst.dirty 0 src.ndirty
+    end;
+    dst.ndirty <- src.ndirty;
+    dst.mono <- src.mono
+  end
 
 let min_into t other =
   if t != other then begin
     if Array.length t.c <> Array.length other.c then
       invalid_arg "Vc.min_into: size mismatch";
     let changed = ref false in
-    for i = 0 to Array.length t.c - 1 do
-      if other.c.(i) < t.c.(i) then begin
-        t.sum <- t.sum + other.c.(i) - t.c.(i);
-        t.c.(i) <- other.c.(i);
-        mark_dirty t i;
-        changed := true
-      end
-    done;
-    if !changed then begin
-      touched t;
-      t.mono <- false
-    end
+    (* Same-epoch shortcut: outside its dirty set [t] equals the shared
+       epoch snapshot, which [other] (mono) is at or above — only [t]'s
+       dirty components can shrink.  The minimum of two clocks at or
+       above the snapshot is still at or above it, so [mono] survives;
+       the dense path cannot tell and clears it. *)
+    let e = stamped_base t in
+    if e >= 0 && t.ndirty >= 0 && other.mono && stamped_base other = e then
+      for j = 0 to t.ndirty - 1 do
+        let i = t.dirty.(j) in
+        if other.c.(i) < t.c.(i) then begin
+          t.sum <- t.sum + other.c.(i) - t.c.(i);
+          t.c.(i) <- other.c.(i);
+          changed := true
+        end
+      done
+    else
+      for i = 0 to Array.length t.c - 1 do
+        if other.c.(i) < t.c.(i) then begin
+          t.sum <- t.sum + other.c.(i) - t.c.(i);
+          t.c.(i) <- other.c.(i);
+          mark_dirty t i;
+          changed := true;
+          t.mono <- false
+        end
+      done;
+    if !changed then touched t
   end
 
 let rebase ?(epoch = -1) t ~base =
@@ -242,12 +297,8 @@ let leq a b =
      let fast =
        a.ndirty >= 0 && b.mono
        &&
-       match (a.base, b.base) with
-       | Some ab, Some bb ->
-         ab.epoch >= 0 && ab.epoch = bb.epoch
-         && a.base_ver = ab.epoch_ver
-         && b.base_ver = bb.epoch_ver
-       | _ -> false
+       let e = stamped_base a in
+       e >= 0 && stamped_base b = e
      in
      if fast then begin
        let rec go j =
@@ -264,6 +315,14 @@ let leq a b =
        go 0)
 
 let concurrent a b = (not (leq a b)) && not (leq b a)
+
+(* Epoch supremums only grow (E_e' >= E_e for e' >= e), so a mono clock
+   based on a stamp of epoch [e'] is at or above every epoch-[e]
+   snapshot with [e <= e'] — no component read needed. *)
+let dominates_snapshot t ~snapshot =
+  t.mono && snapshot.epoch >= 0
+  && snapshot.epoch_ver = snapshot.ver
+  && stamped_base t >= snapshot.epoch
 
 let sum t = t.sum
 

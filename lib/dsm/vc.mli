@@ -27,10 +27,25 @@ val merge_into : t -> t -> unit
     must have the same width). *)
 val blit_into : src:t -> dst:t -> unit
 
+(** {!blit_into} restricted to the components [changed.(0 .. len-1)]:
+    O(len) instead of O(nprocs).  PRECONDITION: [src] and [dst] agree on
+    every component not listed (the barrier's snapshot refresh, where
+    the node's journal lists every processor whose component moved). *)
+val blit_changed : src:t -> dst:t -> changed:int array -> len:int -> unit
+
+(** Overwrite [dst] with [src] the way {!copy} would build it — the
+    delta base, dirty set and monotonicity come along, so the delta,
+    merge and minimum fast paths keep working on the result — but
+    without allocating.  [dst] must not be anyone's {!rebase} base. *)
+val copy_into : src:t -> dst:t -> unit
+
 (** Componentwise minimum, into the first argument.  The minimum over a
     set of clocks covers interval [(p, s)] iff every clock in the set
     does — it is exactly the knowledge shared by a whole barrier subtree,
-    which is what the combining tree sends upward. *)
+    which is what the combining tree sends upward.  When both clocks
+    are based on the same current epoch stamp and the second has only
+    grown since its rebase, only the first one's dirty components are
+    visited. *)
 val min_into : t -> t -> unit
 
 (** Record [base] as the clock's delta base and clear its
@@ -57,6 +72,13 @@ val leq : t -> t -> bool
 
 (** Neither [leq a b] nor [leq b a]: concurrent intervals. *)
 val concurrent : t -> t -> bool
+
+(** [dominates_snapshot t ~snapshot] — a conservative O(1) test that
+    [t] is componentwise at or above [snapshot]: [snapshot] carries a
+    current epoch stamp [e], and [t] has only grown (or taken same-epoch
+    minimums) since its rebase onto a stamp of some epoch [e' >= e].
+    [false] means "not provable", not "not dominated". *)
+val dominates_snapshot : t -> snapshot:t -> bool
 
 (** Total order extending happened-before-1, for applying diffs "in
     timestamp order": componentwise-dominated first, concurrent vectors

@@ -74,6 +74,20 @@ let test_unknown_ablation () =
   check_failure "unknown ablation" "ablations nosuchstudy" ~code:1
     ~stderr_has:"unknown study"
 
+(* [--procs] is shared by every subcommand that builds a cluster: a
+   non-positive count is a usage error naming the option, on all of
+   them, never an uncaught exception from deep inside the run. *)
+let test_nonpositive_procs () =
+  List.iter
+    (fun args ->
+      check_failure args args ~code:124 ~stderr_has:"--procs")
+    [
+      "run --tiny --procs 0"; "experiments --tiny --procs 0";
+      "fuzz --seeds 1 --procs=-2"; "survive --tiny --procs 0";
+      "verify --tiny --procs zero";
+    ];
+  check_failure "run -n 0" "run --tiny -n 0" ~code:124 ~stderr_has:"--procs"
+
 let test_list_ok () =
   let code, out, _err = run_capture "list" in
   Alcotest.(check int) "list: exit code" 0 code;
@@ -98,7 +112,18 @@ let test_help_renders () =
       Alcotest.(check bool)
         (sub ^ " --help: prints a manual") true
         (contains ~needle:"NAME" out))
-    subcommands
+    subcommands;
+  (* The --protocol doc names every protocol the parser accepts. *)
+  List.iter
+    (fun sub ->
+      let _, out, _ = run_capture (sub ^ " --help=plain") in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s --help lists protocol %s" sub name)
+            true (contains ~needle:name out))
+        [ "MW"; "SW"; "WFS"; "WFS+WG"; "HLRC" ])
+    [ "run"; "fuzz" ]
 
 let () =
   Alcotest.run "cli"
@@ -118,6 +143,8 @@ let () =
             test_unknown_mutation;
           Alcotest.test_case "unknown ablation study" `Quick
             test_unknown_ablation;
+          Alcotest.test_case "non-positive --procs" `Quick
+            test_nonpositive_procs;
         ] );
       ( "smoke",
         [

@@ -87,7 +87,7 @@ let test_vc_model () =
     for step = 1 to 300 do
       let i = Random.State.int rs nnodes in
       let j = Random.State.int rs nnodes in
-      (match Random.State.int rs 12 with
+      (match Random.State.int rs 14 with
       | 0 | 1 ->
         (* set: usually a bump, occasionally a decrease (the API is
            generic even though the protocol only ever moves forward) *)
@@ -115,6 +115,25 @@ let test_vc_model () =
       | 9 ->
         vcs.(i) <- Vc.copy vcs.(j);
         nvs.(i) <- Array.copy nvs.(j)
+      | 12 ->
+        (* sparse overwrite, honoring its precondition: the listed
+           components cover every one where the clocks differ (plus a
+           few that do not), in random order *)
+        let diff =
+          List.filter
+            (fun p -> nvs.(i).(p) <> nvs.(j).(p) || Random.State.int rs 4 = 0)
+            (List.init width Fun.id)
+        in
+        let changed =
+          Array.of_list (List.sort (fun _ _ -> Random.State.int rs 3 - 1) diff)
+        in
+        Vc.blit_changed ~src:vcs.(j) ~dst:vcs.(i) ~changed
+          ~len:(Array.length changed);
+        Array.blit nvs.(j) 0 nvs.(i) 0 width
+      | 11 ->
+        (* in-place copy: keeps [j]'s base, dirty set and monotonicity *)
+        Vc.copy_into ~src:vcs.(j) ~dst:vcs.(i);
+        Array.blit nvs.(j) 0 nvs.(i) 0 width
       | 10 ->
         (* plain rebase: snapshot then rebase, per the precondition *)
         let b = Vc.copy vcs.(i) in
@@ -154,11 +173,150 @@ let test_vc_model () =
           (fun k (bvc, bnv) ->
             let d = Vc.delta_size_bytes ~since:bvc vcs.(a) in
             if d <> ndelta ~since:bnv nvs.(a) then
-              Alcotest.failf "step %d: delta clock %d since base %d" step a k)
+              Alcotest.failf "step %d: delta clock %d since base %d" step a k;
+            if
+              Vc.dominates_snapshot vcs.(a) ~snapshot:bvc
+              && not (nleq bnv nvs.(a))
+            then
+              Alcotest.failf "step %d: clock %d claims to dominate base %d"
+                step a k)
           !bases
       done
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Barrier clocks: base-preserving copies and same-epoch minimums       *)
+(* ------------------------------------------------------------------ *)
+
+(* The barrier's clock traffic, shaped like the protocol's: every node
+   rebases on an epoch-stamped snapshot of the common supremum, grows
+   its clock (ticks, merges from peers of the same epoch, rarely a
+   decrease that forfeits monotonicity, rarely a clock rebuilt without
+   any base), refreshes its snapshot by copying the clock into its own
+   base, and then a combining step folds a subtree: [copy_into]
+   the first member into a reused scratch clock and [min_into] the rest.
+   Every query on the folded clock — components, sum, [leq] both ways,
+   [merge_into] into a copy of each node's clock, delta bytes against
+   every snapshot, the [dominates_snapshot] claim — is checked against a
+   plain int-array reference.  [hits] counts folds whose every step was
+   eligible for the same-epoch path, so the test fails if the shortcut
+   is never exercised. *)
+let test_barrier_clocks () =
+  let hits = ref 0 in
+  for seed = 0 to 9 do
+    let rs = Random.State.make [| 0xB1C; seed |] in
+    let vcs = Array.init nnodes (fun _ -> Vc.zero ~nprocs:width) in
+    let nvs = Array.init nnodes (fun _ -> Array.make width 0) in
+    let snaps = Array.init nnodes (fun _ -> Vc.zero ~nprocs:width) in
+    let nsnap = ref (Array.make width 0) in
+    let mono = Array.make nnodes false in
+    (* Older snapshots stay around as delta bases and domination claims. *)
+    let old_snaps = ref [] in
+    let scratch = Vc.zero ~nprocs:width in
+    for epoch = 0 to 39 do
+      let nsup = Array.make width 0 in
+      Array.iter (Array.iteri (fun p v -> nsup.(p) <- max nsup.(p) v)) nvs;
+      let sup = Vc.zero ~nprocs:width in
+      Array.iter (fun vc -> Vc.merge_into sup vc) vcs;
+      if List.length !old_snaps < 6 then
+        old_snaps := (Vc.copy snaps.(0), Array.copy !nsnap) :: !old_snaps;
+      Array.iteri
+        (fun k vc ->
+          (* the barrier's snapshot refresh: the clock catches up to the
+             supremum and is copied into its own base *)
+          Vc.merge_into vc sup;
+          Array.blit nsup 0 nvs.(k) 0 width;
+          Vc.blit_into ~src:vc ~dst:snaps.(k);
+          for p = 0 to width - 1 do
+            if Vc.get snaps.(k) p <> nsup.(p) then
+              Alcotest.failf "seed %d, epoch %d: snapshot %d component %d" seed
+                epoch k p
+          done;
+          if Vc.sum snaps.(k) <> nsum nsup then
+            Alcotest.failf "seed %d, epoch %d: snapshot %d sum" seed epoch k;
+          Vc.rebase ~epoch:(epoch + 1) vc ~base:snaps.(k);
+          mono.(k) <- true)
+        vcs;
+      nsnap := nsup;
+      for _ = 1 to 1 + Random.State.int rs 12 do
+        let i = Random.State.int rs nnodes in
+        match Random.State.int rs 10 with
+        | 0 | 1 | 2 | 3 ->
+          let p = Random.State.int rs width in
+          Vc.tick vcs.(i) ~proc:p;
+          nvs.(i).(p) <- nvs.(i).(p) + 1
+        | 4 | 5 | 6 ->
+          let j = Random.State.int rs nnodes in
+          Vc.merge_into vcs.(i) vcs.(j);
+          Array.iteri (fun p v -> nvs.(i).(p) <- max nvs.(i).(p) v) nvs.(j)
+        | 7 ->
+          let p = Random.State.int rs width in
+          if nvs.(i).(p) > 0 then begin
+            Vc.set vcs.(i) p (nvs.(i).(p) - 1);
+            nvs.(i).(p) <- nvs.(i).(p) - 1;
+            mono.(i) <- false
+          end
+        | 8 ->
+          (* rebuilt from scratch: same components, no base at all *)
+          let fresh = Vc.zero ~nprocs:width in
+          Array.iteri (fun p v -> Vc.set fresh p v) nvs.(i);
+          vcs.(i) <- fresh;
+          mono.(i) <- false
+        | _ -> ()
+      done;
+      (* Fold a random subtree (in random order) into [scratch]. *)
+      let members =
+        List.filter (fun _ -> Random.State.int rs 3 > 0) (List.init nnodes Fun.id)
+      in
+      let members = if members = [] then [ 0 ] else members in
+      let nmin = Array.copy nvs.(List.hd members) in
+      Vc.copy_into ~src:vcs.(List.hd members) ~dst:scratch;
+      List.iter
+        (fun k ->
+          Vc.min_into scratch vcs.(k);
+          Array.iteri (fun p v -> nmin.(p) <- min nmin.(p) v) nvs.(k))
+        (List.tl members);
+      if List.for_all (fun k -> mono.(k)) members then incr hits;
+      let name what = Printf.sprintf "seed %d, epoch %d: %s" seed epoch what in
+      for p = 0 to width - 1 do
+        if Vc.get scratch p <> nmin.(p) then
+          Alcotest.fail (name (Printf.sprintf "component %d" p))
+      done;
+      if Vc.sum scratch <> nsum nmin then Alcotest.fail (name "sum");
+      Array.iteri
+        (fun k vc ->
+          if Vc.leq scratch vc <> nleq nmin nvs.(k) then
+            Alcotest.fail (name (Printf.sprintf "leq min <= %d" k));
+          if Vc.leq vc scratch <> nleq nvs.(k) nmin then
+            Alcotest.fail (name (Printf.sprintf "leq %d <= min" k));
+          let m = Vc.copy vc in
+          Vc.merge_into m scratch;
+          for p = 0 to width - 1 do
+            if Vc.get m p <> max nvs.(k).(p) nmin.(p) then
+              Alcotest.fail (name (Printf.sprintf "merge into %d" k))
+          done;
+          let d = Vc.delta_size_bytes ~since:snaps.(k) scratch in
+          if d <> ndelta ~since:!nsnap nmin then
+            Alcotest.fail (name (Printf.sprintf "delta since snapshot %d" k));
+          if Vc.dominates_snapshot scratch ~snapshot:snaps.(k) then begin
+            if not (nleq !nsnap nmin) then
+              Alcotest.fail (name "false domination claim")
+          end
+          else if List.for_all (fun k -> mono.(k)) members then
+            Alcotest.fail (name "a same-epoch minimum lost its monotonicity"))
+        vcs;
+      List.iter
+        (fun (svc, snv) ->
+          if Vc.delta_size_bytes ~since:svc scratch <> ndelta ~since:snv nmin then
+            Alcotest.fail (name "delta since an older snapshot");
+          if Vc.dominates_snapshot scratch ~snapshot:svc && not (nleq snv nmin)
+          then Alcotest.fail (name "false domination of an older snapshot"))
+        !old_snaps
+    done
+  done;
+  if !hits < 50 then
+    Alcotest.failf "same-epoch folds exercised only %d times" !hits
 
 (* ------------------------------------------------------------------ *)
 (* Naive interval-log reference: a plain list, filtered fully          *)
@@ -506,15 +664,337 @@ let test_summary_drops () =
   if (entry w).State.nw_dom < 0 then
     Alcotest.fail "the full scan did not re-derive the summary"
 
+(* ------------------------------------------------------------------ *)
+(* Epoch journal: collect_unseen vs the dense walk over every log       *)
+(* ------------------------------------------------------------------ *)
+
+(* A whole cluster's interval traffic through the real State/Lrc_core
+   paths: own closes ([end_interval]), lock grants ([collect_unseen] at
+   the holder, [apply_intervals] at the acquirer), central and combining
+   tree barriers (arrival clocks in the reused [barrier_vc], subtree
+   minimums, the children's releases computed BEFORE the parent's
+   [barrier_rebase]), GC purges, crash rollbacks with a zero-clock
+   recovery round, and bursts of more distinct writers than the journal
+   holds.  After every step each sampled node answers [collect_unseen]
+   for clocks above its last-barrier snapshot (its own and its peers'
+   clocks, arrival clocks, merged clocks) and below it (stale copies
+   from older epochs, a decreased copy, a baseless rebuild, zero); the
+   answer must be exactly the naive walk over all logs. *)
+
+let jprocs = 70 (* above the journal's capacity, so bursts overflow it *)
+
+let jpage = 0
+
+let make_jcluster () =
+  let cfg = Config.make ~protocol:Config.Mw ~nprocs:jprocs () in
+  let engine = Adsm_sim.Engine.create ~lanes:jprocs () in
+  {
+    State.cfg;
+    engine;
+    rpc = Adsm_net.Rpc.create engine cfg.Config.net ~nodes:jprocs;
+    layout = Adsm_mem.Layout.create ();
+    nodes =
+      Array.init jprocs (fun id -> State.make_node ~cfg ~id ~total_pages:1);
+    stats = Stats.create ~nprocs:jprocs ();
+    barrier_mgr =
+      {
+        State.epoch = 0;
+        arrived = 0;
+        arrivals = [];
+        gc_requested = false;
+        gc_done_count = 0;
+      };
+    next_lock = 0;
+    running = 0;
+    tracer = Adsm_trace.Tracer.disabled;
+    recorder = Adsm_check.Recorder.disabled;
+  }
+
+(* The reference: every retained interval [vc] does not cover, grouped by
+   ascending processor, each log newest-first. *)
+let naive_unseen (node : State.node) vc =
+  List.concat
+    (List.init jprocs (fun p ->
+         let l = node.State.intervals.(p) in
+         let got = ref [] in
+         for k = 0 to Interval.Log.length l - 1 do
+           let iv = Interval.Log.get l k in
+           if iv.Interval.seq > Vc.get vc p then got := iv :: !got
+         done;
+         !got))
+
+let keys =
+  List.map (fun (iv : Interval.t) -> (iv.Interval.proc, iv.Interval.seq))
+
+type jworld = {
+  jcl : State.cluster;
+  mutable jepoch : int;
+  ckpts : Vc.t array;  (* each node's clock at its last barrier leave *)
+  mutable stale : Vc.t list;  (* copies of clocks from older epochs *)
+  mutable fast : int;  (* checked queries eligible for the journal walk *)
+  mutable dense : int;  (* checked queries that had to walk every log *)
+  mutable overflows : int;
+}
+
+let jnode w k = w.jcl.State.nodes.(k)
+
+let check_collect name w (node : State.node) vc =
+  if State.journal_valid node
+     && Vc.dominates_snapshot vc ~snapshot:node.State.last_barrier_vc
+  then w.fast <- w.fast + 1
+  else w.dense <- w.dense + 1;
+  let got = Lrc_core.collect_unseen w.jcl node vc in
+  if keys got <> keys (naive_unseen node vc) then
+    Alcotest.failf "%s: collect_unseen at node %d differs from the dense walk"
+      name node.State.id;
+  got
+
+let jown_close w k =
+  let node = jnode w k in
+  (State.entry_of node jpage).State.dirty <- true;
+  node.State.dirty_pages <- [ jpage ];
+  Lrc_core.end_interval w.jcl (module Adsm_dsm.Proto_sw) node ~charge:ignore
+
+(* [i] acquires a lock last held by [j]. *)
+let jgrant name w i j =
+  jown_close w j;
+  let ivs = check_collect name w (jnode w j) (Vc.copy (jnode w i).State.vc) in
+  Lrc_core.apply_intervals w.jcl (jnode w i) ivs
+
+let own_since_barrier (node : State.node) =
+  Interval.Log.unseen_by node.State.last_barrier_vc ~proc:node.State.id
+    node.State.intervals.(node.State.id) []
+
+let leave w k =
+  let node = jnode w k in
+  State.barrier_rebase node ~epoch:(w.jepoch + 1);
+  w.ckpts.(k) <- Vc.copy node.State.vc
+
+let jbarrier_central name w =
+  let nodes = w.jcl.State.nodes in
+  let arrivals =
+    Array.map
+      (fun (node : State.node) ->
+        Vc.copy_into ~src:node.State.vc ~dst:node.State.barrier_vc;
+        own_since_barrier node)
+      nodes
+  in
+  let manager = nodes.(0) in
+  Lrc_core.apply_intervals w.jcl manager (List.concat (Array.to_list arrivals));
+  let releases =
+    Array.map
+      (fun (node : State.node) ->
+        check_collect name w manager node.State.barrier_vc)
+      nodes
+  in
+  Array.iteri
+    (fun k ivs ->
+      Lrc_core.apply_intervals w.jcl nodes.(k) ivs;
+      leave w k)
+    releases
+
+(* Fanout-3 combining tree rooted at node 0, like [Sync]'s. *)
+let jfanout = 3
+
+let jchildren k =
+  List.filter
+    (fun c -> c < jprocs)
+    (List.init jfanout (fun i -> (k * jfanout) + 1 + i))
+
+let jbarrier_tree name w =
+  let nodes = w.jcl.State.nodes in
+  let up = Array.make jprocs [] in
+  for k = jprocs - 1 downto 0 do
+    let node = nodes.(k) in
+    Vc.copy_into ~src:node.State.vc ~dst:node.State.barrier_vc;
+    up.(k) <- own_since_barrier node;
+    List.iter
+      (fun c ->
+        Vc.min_into node.State.barrier_vc nodes.(c).State.barrier_vc;
+        up.(k) <- up.(c) @ up.(k))
+      (jchildren k)
+  done;
+  let release = Array.make jprocs [] in
+  release.(0) <- up.(0);
+  for k = 0 to jprocs - 1 do
+    Lrc_core.apply_intervals w.jcl nodes.(k) release.(k);
+    (* Children's releases against the ending epoch's journal, then the
+       rebase — the order [Sync.barrier] must keep. *)
+    List.iter
+      (fun c ->
+        release.(c) <- check_collect name w nodes.(k) nodes.(c).State.barrier_vc)
+      (jchildren k);
+    leave w k
+  done
+
+let jbarrier name w rs =
+  w.stale <-
+    Vc.copy (jnode w (Random.State.int rs jprocs)).State.vc
+    :: List.filteri (fun k _ -> k < 8) w.stale;
+  if Random.State.bool rs then jbarrier_central name w else jbarrier_tree name w;
+  w.jepoch <- w.jepoch + 1;
+  let sup = (jnode w 0).State.vc in
+  Array.iter
+    (fun (node : State.node) ->
+      if not (Vc.equal node.State.vc sup) then
+        Alcotest.failf "%s: node %d left the barrier without the supremum" name
+          node.State.id;
+      if not (Vc.equal node.State.last_barrier_vc sup) then
+        Alcotest.failf "%s: node %d's last-barrier snapshot is not the supremum"
+          name node.State.id)
+    w.jcl.State.nodes;
+  (* A clock on a private snapshot of this epoch keeps a current stamp
+     forever: in later epochs it is the "based on an older barrier" case
+     the journal must refuse. *)
+  let snap = Vc.copy sup in
+  let q = Vc.copy sup in
+  Vc.rebase ~epoch:w.jepoch q ~base:snap;
+  Vc.tick q ~proc:(Random.State.int rs jprocs);
+  w.stale <- q :: w.stale
+
+(* Fail-stop of node [k]: the volatile logs and the clock roll back to
+   the last barrier, then a recovery round asks every peer for its whole
+   retained log (a zero clock) — [Sync.crash_pause]'s state changes. *)
+let jcrash name w k =
+  let node = jnode w k in
+  jown_close w k;
+  let own_seq = Vc.get node.State.vc k in
+  for p = 0 to jprocs - 1 do
+    if p <> k then Interval.Log.clear node.State.intervals.(p)
+  done;
+  State.journal_invalidate node;
+  Vc.blit_into ~src:w.ckpts.(k) ~dst:node.State.vc;
+  Vc.blit_into ~src:w.ckpts.(k) ~dst:node.State.last_barrier_vc;
+  Vc.set node.State.vc k own_seq;
+  let seen = Hashtbl.create 64 in
+  let all = ref [] in
+  Array.iter
+    (fun (peer : State.node) ->
+      if peer.State.id <> k then
+        List.iter
+          (fun (iv : Interval.t) ->
+            let key = (iv.Interval.proc, iv.Interval.seq) in
+            if iv.Interval.proc <> k && not (Hashtbl.mem seen key) then begin
+              Hashtbl.add seen key ();
+              all := iv :: !all
+            end)
+          (check_collect name w peer (Vc.zero ~nprocs:jprocs)))
+    w.jcl.State.nodes;
+  let covered, uncovered =
+    List.partition
+      (fun (iv : Interval.t) ->
+        iv.Interval.seq <= Vc.get node.State.vc iv.Interval.proc)
+      !all
+  in
+  List.iter
+    (fun (iv : Interval.t) ->
+      State.log_append node iv;
+      List.iter (Lrc_core.apply_notice ~replay:true w.jcl node) iv.Interval.notices)
+    (List.sort
+       (fun (a : Interval.t) b -> Vc.order a.Interval.vc b.Interval.vc)
+       covered);
+  Lrc_core.apply_intervals ~replay:true w.jcl node uncovered
+
+let check_world name w rs =
+  let probes =
+    List.init 6 (fun _ -> Random.State.int rs jprocs)
+  in
+  List.iter
+    (fun k ->
+      let node = jnode w k in
+      let other = jnode w (Random.State.int rs jprocs) in
+      let merged = Vc.copy node.State.vc in
+      Vc.merge_into merged other.State.vc;
+      let lowered = Vc.copy node.State.vc in
+      let p = Random.State.int rs jprocs in
+      if Vc.get lowered p > 0 then Vc.set lowered p (Vc.get lowered p - 1);
+      let rebuilt = Vc.zero ~nprocs:jprocs in
+      for q = 0 to jprocs - 1 do
+        Vc.set rebuilt q (Vc.get other.State.vc q)
+      done;
+      List.iter
+        (fun vc -> ignore (check_collect name w node vc))
+        ([
+           Vc.copy node.State.vc;
+           Vc.copy other.State.vc;
+           other.State.barrier_vc;
+           merged;
+           lowered;
+           rebuilt;
+           Vc.zero ~nprocs:jprocs;
+         ]
+        @ w.stale))
+    probes
+
+let test_journal_model () =
+  let totals = ref (0, 0, 0) in
+  for seed = 0 to 5 do
+    let rs = Random.State.make [| 0x10C; seed |] in
+    let w =
+      {
+        jcl = make_jcluster ();
+        jepoch = 0;
+        ckpts = Array.init jprocs (fun _ -> Vc.zero ~nprocs:jprocs);
+        stale = [];
+        fast = 0;
+        dense = 0;
+        overflows = 0;
+      }
+    in
+    for step = 1 to 150 do
+      let name = Printf.sprintf "seed %d, step %d" seed step in
+      let i = Random.State.int rs jprocs and j = Random.State.int rs jprocs in
+      (match Random.State.int rs 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 -> jown_close w i
+      | 6 | 7 | 8 | 9 | 10 | 11 -> if i <> j then jgrant name w i j
+      | 12 | 13 | 14 -> jbarrier name w rs
+      | 15 ->
+        (* GC: right after a barrier every node knows everything, and the
+           purge drops every log *)
+        jbarrier name w rs;
+        Array.iter
+          (fun (node : State.node) ->
+            Array.iter Interval.Log.clear node.State.intervals)
+          w.jcl.State.nodes
+      | 16 -> jcrash name w i
+      | 17 ->
+        (* a burst: more distinct writers than journal slots, all learned
+           by one node before the next barrier *)
+        for k = 0 to jprocs - 1 do
+          jgrant name w i k
+        done;
+        if not (State.journal_valid (jnode w i)) then
+          w.overflows <- w.overflows + 1
+      | _ -> ());
+      check_world name w rs
+    done;
+    let f, d, o = !totals in
+    totals := (f + w.fast, d + w.dense, o + w.overflows)
+  done;
+  let fast, dense, overflows = !totals in
+  if fast < 1000 then Alcotest.failf "journal walk exercised only %d times" fast;
+  if dense < 1000 then Alcotest.failf "dense walk exercised only %d times" dense;
+  if overflows = 0 then Alcotest.fail "the journal never overflowed";
+  Alcotest.(check int) "the shared empty log stays empty" 0
+    (Interval.Log.length Interval.Log.empty)
+
 let () =
   Alcotest.run "model"
     [
       ( "vc",
-        [ Alcotest.test_case "summarized vs naive (seeded)" `Quick test_vc_model ]
-      );
+        [
+          Alcotest.test_case "summarized vs naive (seeded)" `Quick test_vc_model;
+          Alcotest.test_case "barrier copies and minimums (seeded)" `Quick
+            test_barrier_clocks;
+        ] );
       ( "interval-log",
         [ Alcotest.test_case "indexed vs naive (seeded)" `Quick test_log_model ]
       );
+      ( "epoch-journal",
+        [
+          Alcotest.test_case "journal walk vs dense walk (seeded)" `Quick
+            test_journal_model;
+        ] );
       ( "writer-summary",
         [
           Alcotest.test_case "summarized vs dense scan (seeded)" `Quick
