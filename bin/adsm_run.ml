@@ -33,9 +33,6 @@ let fabric_tweak net topology =
 
 (* --- run one configuration --- *)
 
-let engine_of_par par =
-  if par > 1 then Some (Config.Parallel { domains = par }) else None
-
 (* --faults SPEC shared by `run` and `fuzz`: parse early so a typo is a
    usage error, not a mid-run exception. *)
 let faults_of_spec ~nprocs = function
@@ -53,7 +50,7 @@ let protocol_names =
   String.concat ", " (List.map Config.protocol_name Config.extended_protocols)
 
 let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
-    check faults_spec net topology par =
+    check faults_spec net topology =
   match Registry.find app_name with
   | None ->
     Printf.eprintf "unknown application %S; try `adsm_run list'\n" app_name;
@@ -101,9 +98,8 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
       | Ok tracer ->
       let recorder = if check then Recorder.create () else Recorder.disabled in
       let m =
-        Runner.run ?tracer ~recorder ~tweak ?faults
-          ?engine:(engine_of_par par) ~seed:(Int64.of_int seed) ~app
-          ~protocol ~nprocs ~scale ()
+        Runner.run ?tracer ~recorder ~tweak ?faults ~seed:(Int64.of_int seed)
+          ~app ~protocol ~nprocs ~scale ()
       in
       (match (tracer, trace_file) with
       | Some tracer, Some path ->
@@ -154,24 +150,23 @@ let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
 
 (* --- the full experiment suite --- *)
 
-let run_experiments tiny nprocs apps out jobs net topology par =
+let run_experiments tiny nprocs apps out jobs net topology =
   match fabric_tweak net topology with
   | Error msg ->
     Printf.eprintf "bad --topology: %s\n" msg;
     1
   | Ok tweak -> (
     let apps = match apps with [] -> None | l -> Some l in
-    let engine = engine_of_par par in
     match out with
     | None ->
       print_string
         (Experiments.run_all ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-           ~tweak ?engine ());
+           ~tweak ());
       0
     | Some dir ->
       let suite =
         Experiments.collect ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-          ~tweak ?engine ()
+          ~tweak ()
       in
       let written = Experiments.export_csv suite ~dir in
       List.iter (Printf.printf "wrote %s\n") written;
@@ -196,20 +191,22 @@ let protocol_arg =
     value & opt string "WFS"
     & info [ "protocol"; "p" ] ~doc:("Protocol: " ^ protocol_names ^ "."))
 
-(* Rejecting a non-positive count here makes every subcommand fail as a
-   usage error (exit 124) instead of an uncaught [Config.make] exception. *)
-let procs_conv =
+(* Rejecting an out-of-range count here makes every subcommand fail as a
+   usage error (exit 124) naming the flag, instead of an uncaught
+   exception from deep inside the run. *)
+let int_at_least ~flag ~expect min =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ ->
-      Error (Printf.sprintf "--procs must be a positive integer, got %S" s)
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Printf.sprintf "%s must be %s, got %S" flag expect s)
   in
   Arg.conv' (parse, Format.pp_print_int)
 
+let positive_int flag = int_at_least ~flag ~expect:"a positive integer" 1
+
 let procs_arg =
   Arg.(
-    value & opt procs_conv 8
+    value & opt (positive_int "--procs") 8
     & info [ "procs"; "n" ] ~doc:"Simulated processors (a positive integer).")
 
 let tiny_arg =
@@ -218,9 +215,17 @@ let tiny_arg =
 let seed_arg =
   Arg.(value & opt int 0x5EED & info [ "seed" ] ~doc:"Simulation seed.")
 
+let unknown_app name =
+  Printf.sprintf "unknown application %S (valid: %s)" name
+    (String.concat ", " Registry.names)
+
+let app_conv =
+  let parse s = if Registry.find s = None then Error (unknown_app s) else Ok s in
+  Arg.conv' (parse, Format.pp_print_string)
+
 let apps_arg =
   Arg.(
-    value & opt_all string []
+    value & opt_all app_conv []
     & info [ "app"; "a" ] ~doc:"Restrict to this application (repeatable).")
 
 let trace_arg =
@@ -262,17 +267,6 @@ let topology_arg =
               the default), $(b,tree), or $(b,tree:N) (2-level switched \
               tree with N nodes per leaf switch).")
 
-let par_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "par" ] ~docv:"N"
-        ~doc:"Run each simulation on the conservative parallel engine \
-              with $(docv) OCaml domains (default 1 = the sequential \
-              engine).  Behavior-neutral: traces, checksums, counters and \
-              oracle streams are byte-identical (see PARALLELISM.md); \
-              only host wall-clock changes.  Avoid oversubscribing the \
-              host when combined with $(b,--jobs).")
-
 let faults_arg =
   Arg.(
     value
@@ -299,7 +293,7 @@ let run_cmd =
     Term.(
       const run_one $ app_arg $ protocol_arg $ procs_arg $ tiny_arg $ seed_arg
       $ trace_arg $ trace_format_arg $ check_arg $ faults_arg $ net_arg
-      $ topology_arg $ par_arg)
+      $ topology_arg)
 
 (* --- oracle-checked workload fuzzing --- *)
 
@@ -380,7 +374,7 @@ let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Pool.default_jobs ())
+    & opt (positive_int "--jobs") (Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Run independent simulations on $(docv) worker domains \
               (default: the number of cores).  Results are bit-identical \
@@ -437,7 +431,7 @@ let experiments_cmd =
        ~doc:"Regenerate every table and figure of the paper")
     Term.(
       const run_experiments $ tiny_arg $ procs_arg $ apps_arg $ out_arg
-      $ jobs_arg $ net_arg $ topology_arg $ par_arg)
+      $ jobs_arg $ net_arg $ topology_arg)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the available applications")
@@ -445,18 +439,9 @@ let list_cmd =
 
 (* --- node-count scaling study --- *)
 
-let run_scaling smoke max_nodes jobs out par apps =
+let run_scaling smoke max_nodes jobs out apps =
   let module Scaling = Adsm_harness.Scaling in
-  let apps =
-    match apps with
-    | None -> None
-    | Some s ->
-      Some
-        (List.filter
-           (fun a -> a <> "")
-           (String.split_on_char ',' s))
-  in
-  let study = Scaling.collect ~smoke ~max_nodes ~jobs ~par ?apps () in
+  let study = Scaling.collect ~smoke ~max_nodes ~jobs ?apps () in
   print_string (Scaling.render study);
   (match out with
   | Some path ->
@@ -471,17 +456,36 @@ let run_scaling smoke max_nodes jobs out par apps =
   List.iter (Printf.eprintf "BARRIER BOUND EXCEEDED: %s\n") violations;
   if mismatches = [] && violations = [] then 0 else 1
 
+(* The node grid starts at 8: a smaller cap would leave an empty study. *)
 let max_nodes_arg =
   Arg.(
-    value & opt int 1024
+    value
+    & opt
+        (int_at_least ~flag:"--max-nodes"
+           ~expect:"at least 8 (the smallest node-grid size)" 8)
+        1024
     & info [ "max-nodes" ] ~docv:"N"
-        ~doc:"Truncate the node grid at $(docv) simulated nodes (3D-FFT \
-              is structurally capped at 64; see EXPERIMENTS.md).")
+        ~doc:"Truncate the node grid at $(docv) simulated nodes, at least \
+              8 (3D-FFT is structurally capped at 64; see EXPERIMENTS.md).")
+
+(* Comma-separated and non-empty: an empty list would sweep nothing. *)
+let app_list_conv =
+  let parse s =
+    match List.filter (fun a -> a <> "") (String.split_on_char ',' s) with
+    | [] -> Error "no application given"
+    | names -> (
+      match List.find_opt (fun a -> Registry.find a = None) names with
+      | Some bad -> Error (unknown_app bad)
+      | None -> Ok names)
+  in
+  Arg.conv'
+    ( parse,
+      fun ppf names -> Format.pp_print_string ppf (String.concat "," names) )
 
 let scaling_apps_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some app_list_conv) None
     & info [ "apps" ] ~docv:"A,B"
         ~doc:"Sweep only these comma-separated applications (default: \
               all eight; with $(b,--tiny), SOR).")
@@ -513,7 +517,7 @@ let scaling_cmd =
           n-log-n message bound.")
     Term.(
       const run_scaling $ scaling_tiny_arg $ max_nodes_arg $ jobs_arg
-      $ scaling_out_arg $ par_arg $ scaling_apps_arg)
+      $ scaling_out_arg $ scaling_apps_arg)
 
 let run_ablations studies jobs =
   let module Ablations = Adsm_harness.Ablations in

@@ -50,7 +50,7 @@ module Log = struct
   (* Shared by every processor that has logged nothing yet: a 1024-node
      cluster would otherwise build a million empty logs up front.  It is
      never written — [append] refuses it and [clear] skips empty logs —
-     so domains of the parallel engine can share it freely. *)
+     so simulations running on different domains can share it freely. *)
   let empty = create ()
 
   let length l = l.len

@@ -72,7 +72,7 @@ let materialize_pending_diff cl node (e : entry) =
       | None -> failwith "Proto: pending diff without its twin"
     in
     let diff =
-      Diff.create ~scratch:(State.scratch node) ~twin ~current:(frame e) ()
+      Diff.create ~scratch:cl.diff_scratch ~twin ~current:(frame e) ()
     in
     Hashtbl.replace node.diffs (e.page, node.id, seq) (vc, diff);
     e.own_diff_seqs <- seq :: e.own_diff_seqs;
@@ -142,7 +142,7 @@ let close_owned cl node (e : entry) ~seq =
    the home by HLRC); [close_clean] closes a dirty page with neither twin
    nor write log (an owned SW-mode page by default, the master copy under
    HLRC); [measure] enables the WFS+WG write-granularity measurement;
-   [allow_lazy] permits deferring the diff when [Config.lazy_diffing]. *)
+   [allow_lazy] permits postponing the diff when [Config.lazy_diffing]. *)
 let close_page_default ?(allow_lazy = true) ?(measure = false)
     ?(sink = store_diff) ?(close_clean = close_owned) cl node (e : entry)
     ~seq ~vc ~charge =
@@ -170,7 +170,7 @@ let close_page_default ?(allow_lazy = true) ?(measure = false)
   | Some twin ->
     (* MW-mode page: eager twin/diff. *)
     let current = frame e in
-    let diff = Diff.create ~scratch:(State.scratch node) ~twin ~current () in
+    let diff = Diff.create ~scratch:cl.diff_scratch ~twin ~current () in
     charge cl.cfg.Config.diff_create_ns;
     let bytes = Diff.size_bytes diff in
     let modified = Diff.modified_bytes diff in

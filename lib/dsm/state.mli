@@ -180,10 +180,6 @@ type node = {
   mutable tlb : tlb option;  (** accessor fast-path cache; see {!tlb_reset} *)
   tb : tree_barrier option;  (** [Some] iff [cfg.barrier] is [Tree] *)
   rng : Adsm_sim.Rng.t;
-  mutable diff_scratch : Diff.scratch option;
-      (** lazily allocated working space for {!Diff.create}, per node —
-          nodes on different domains encode diffs concurrently under the
-          parallel engine, so the scratch cannot be cluster-wide *)
   mutable ckpt : ckpt option;
       (** latest barrier-leave checkpoint; [None] until the first
           barrier (and always [None] without a crash schedule) *)
@@ -221,6 +217,9 @@ type cluster = {
   tracer : Adsm_trace.Tracer.t;  (** structured trace emission front-end *)
   recorder : Adsm_check.Recorder.t;
       (** consistency-oracle observation stream front-end *)
+  diff_scratch : Diff.scratch;
+      (** working space for {!Diff.create}; every diff is encoded inside
+          one event, so the whole cluster shares one *)
 }
 
 val make_entry : nprocs:int -> page:int -> home:int -> entry
@@ -316,9 +315,6 @@ val entry_of : node -> int -> entry
 (** Iterate over the materialized entries — the only ones that can carry
     any protocol state. *)
 val iter_entries : node -> (entry -> unit) -> unit
-
-(** The node's diff-encoding scratch space, allocated on first use. *)
-val scratch : node -> Diff.scratch
 
 (** Committed contents of a page at this node: the twin while the page is
     dirty, the current data otherwise.  [None] when the node has no copy. *)

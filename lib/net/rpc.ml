@@ -9,19 +9,14 @@ type 'msg handler = src:int -> 'msg -> 'msg respond option -> unit
    ids are never observable (they ride inside the envelope and cost no
    wire bytes beyond the fixed header), and a reply is always delivered
    back to the node that issued the call, so each node can match replies
-   out of its own table.  This keeps every RPC structure lane-owned —
-   under the parallel engine a node's calls and its reply deliveries all
-   execute on that node's lane, so no two domains ever touch the same
-   counter or table (see PARALLELISM.md). *)
+   out of its own table. *)
 type 'msg t = {
   engine : Engine.t;
   net : 'msg Envelope.t Network.t;
   next_ids : int array;
   pendings : (int, 'msg Proc.Ivar.t) Hashtbl.t array;
   handlers : 'msg handler option array;
-  pool : 'msg Envelope.pool option;
-      (* envelope free pool; [None] under the parallel engine, where
-         envelopes cross domains and a shared free list would race *)
+  pool : 'msg Envelope.pool;  (* envelope free pool *)
 }
 
 let create_topo engine topo ~nodes =
@@ -32,9 +27,7 @@ let create_topo engine topo ~nodes =
       next_ids = Array.make nodes 0;
       pendings = Array.init nodes (fun _ -> Hashtbl.create 16);
       handlers = Array.make nodes None;
-      pool =
-        (if Engine.is_parallel engine then None
-         else Some (Envelope.create_pool ()));
+      pool = Envelope.create_pool ();
     }
   in
   for node = 0 to nodes - 1 do

@@ -88,6 +88,38 @@ let test_nonpositive_procs () =
     ];
   check_failure "run -n 0" "run --tiny -n 0" ~code:124 ~stderr_has:"--procs"
 
+(* [--jobs] sizes the worker pool on every subcommand that has one. *)
+let test_nonpositive_jobs () =
+  List.iter
+    (fun args -> check_failure args args ~code:124 ~stderr_has:"--jobs")
+    [
+      "experiments --tiny --jobs 0"; "scaling --tiny --jobs 0";
+      "fuzz --seeds 1 --jobs 0"; "survive --tiny --jobs 0";
+      "verify --tiny --jobs=-1"; "ablations --jobs 0";
+      "experiments --tiny -j 0";
+    ]
+
+(* Unknown application names in list options are usage errors that name
+   the option and list the valid applications. *)
+let test_unknown_app_lists () =
+  List.iter
+    (fun (args, flag) ->
+      check_failure args args ~code:124 ~stderr_has:flag;
+      check_failure args args ~code:124 ~stderr_has:"ILINK")
+    [
+      ("scaling --apps NOPE", "--apps"); ("scaling --apps SOR,NOPE", "--apps");
+      ("experiments --tiny --app NOPE", "--app");
+      ("survive --tiny --app NOPE", "--app");
+    ];
+  check_failure "scaling --apps ," "scaling --apps ," ~code:124
+    ~stderr_has:"--apps"
+
+(* The node grid starts at 8; a smaller cap would print an empty study. *)
+let test_max_nodes_floor () =
+  List.iter
+    (fun args -> check_failure args args ~code:124 ~stderr_has:"--max-nodes")
+    [ "scaling --max-nodes 0"; "scaling --tiny --max-nodes 7" ]
+
 let test_list_ok () =
   let code, out, _err = run_capture "list" in
   Alcotest.(check int) "list: exit code" 0 code;
@@ -145,6 +177,12 @@ let () =
             test_unknown_ablation;
           Alcotest.test_case "non-positive --procs" `Quick
             test_nonpositive_procs;
+          Alcotest.test_case "non-positive --jobs" `Quick
+            test_nonpositive_jobs;
+          Alcotest.test_case "unknown application in --app/--apps" `Quick
+            test_unknown_app_lists;
+          Alcotest.test_case "--max-nodes below the grid" `Quick
+            test_max_nodes_floor;
         ] );
       ( "smoke",
         [

@@ -179,11 +179,11 @@ let test_oracle_clean_under_crashes () =
 (* The concurrent-writer check takes an O(1) path through each page's
    dominating-writer summary, and crash rollback must drop that summary
    (Sync.crash_pause) or a rolled-back clock could skip a detection.
-   Sequential-vs-parallel identity cannot catch such a slip — both
-   engines share the summary — so these counters were recorded with the
-   dense per-writer scan and are pinned here: the crash-schedule cells
-   above (4 nodes, flat fabric), and IS/SW and Water/WFS at 64 nodes on
-   the tree fabric with and without the schedule. *)
+   Comparing two runs of the same code cannot catch such a slip, so
+   these counters were recorded with the dense per-writer scan and are
+   pinned here: the crash-schedule cells above (4 nodes, flat fabric),
+   and IS/SW and Water/WFS at 64 nodes on the tree fabric with and
+   without the schedule. *)
 type pin = {
   cell : string * Config.protocol * int * bool * bool;
       (** app, protocol, nodes, tree fabric, crash schedule *)

@@ -438,6 +438,7 @@ let make_cluster protocol =
     running = 0;
     tracer = Adsm_trace.Tracer.disabled;
     recorder = Adsm_check.Recorder.disabled;
+    diff_scratch = Adsm_dsm.Diff.make_scratch ();
   }
 
 let vc_of_array a =
@@ -708,6 +709,7 @@ let make_jcluster () =
     running = 0;
     tracer = Adsm_trace.Tracer.disabled;
     recorder = Adsm_check.Recorder.disabled;
+    diff_scratch = Adsm_dsm.Diff.make_scratch ();
   }
 
 (* The reference: every retained interval [vc] does not cover, grouped by

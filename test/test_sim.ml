@@ -265,6 +265,53 @@ let test_engine_counts_events () =
   ignore (Engine.run e);
   Alcotest.(check int) "executed" 17 (Engine.events_executed e)
 
+(* A tiny pure hash (splitmix-style), so every schedule decision in the
+   lane-split workload depends only on (seed, id, k), never on execution
+   order. *)
+let h seed id k =
+  let z = Int64.of_int ((seed * 0x9E3779B9) + (id * 0x85EBCA6B) + (k * 0xC2B2AE35)) in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 2)
+
+(* Run the seeded workload and return [(final time, events, (time, id)
+   log)].  Every handler spawns a lane-inherited child via [schedule] and
+   a child on a hashed lane via [schedule_at ~lane]; times are drawn from
+   tiny ranges so same-instant events across lanes are the common case.
+   A 1-lane engine ignores the lane arguments. *)
+let lane_model engine seed =
+  let lanes = 8 in
+  let log = ref [] in
+  let rec handler id depth () =
+    let tm = Engine.now engine in
+    log := (tm, id) :: !log;
+    if depth < 4 then begin
+      let kid k = (id * 7) + k + 1 in
+      Engine.schedule engine ~delay:(h seed id 1 mod 20)
+        (handler (kid 1) (depth + 1));
+      Engine.schedule_at ~lane:(h seed id 2 mod lanes) engine
+        ~time:(tm + 10 + (h seed id 3 mod 5))
+        (handler (kid 2) (depth + 1))
+    end
+  in
+  for lane = 0 to lanes - 1 do
+    Engine.schedule_at ~lane engine ~time:(h seed lane 0 mod 5) (handler lane 0)
+  done;
+  let final = Engine.run engine in
+  (final, Engine.events_executed engine, List.rev !log)
+
+let test_engine_lane_split_oracle () =
+  (* The per-lane sub-heaps are a cost-locality hint only: an 8-lane
+     engine must run the exact schedule of a 1-lane engine. *)
+  for seed = 0 to 9 do
+    let ft, ev, log = lane_model (Engine.create ~lanes:8 ()) seed in
+    let ft', ev', log' = lane_model (Engine.create ~lanes:1 ()) seed in
+    let name what = Printf.sprintf "seed %d: %s vs 1-lane oracle" seed what in
+    Alcotest.(check int) (name "final time") ft' ft;
+    Alcotest.(check int) (name "events") ev' ev;
+    Alcotest.(check (list (pair int int))) (name "log") log' log
+  done
+
 let test_time_units () =
   Alcotest.(check int) "us" 3_000 (Engine.us 3);
   Alcotest.(check int) "ms" 2_000_000 (Engine.ms 2);
@@ -530,6 +577,8 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "event count" `Quick test_engine_counts_events;
+          Alcotest.test_case "lane split = single-lane oracle" `Quick
+            test_engine_lane_split_oracle;
           Alcotest.test_case "time units" `Quick test_time_units;
         ] );
       ( "proc",
