@@ -2,7 +2,8 @@
    regenerate the paper's tables and figures.
 
      adsm_run run --app SOR --protocol WFS --procs 8
-     adsm_run experiments [--tiny] [--procs 8] [--app SOR --app IS ...]
+     adsm_run experiments [--tiny] [--procs 8] [--app SOR ...] [ARTIFACT...]
+     adsm_run perf [--tiny] [--grid] [--jobs N]
      adsm_run list
 *)
 
@@ -11,6 +12,7 @@ module Config = Adsm_dsm.Config
 module Registry = Adsm_apps.Registry
 module Runner = Adsm_harness.Runner
 module Experiments = Adsm_harness.Experiments
+module Ablations = Adsm_harness.Ablations
 module Fuzz = Adsm_harness.Fuzz
 module Pool = Adsm_harness.Pool
 module Oracle = Adsm_check.Oracle
@@ -45,132 +47,124 @@ let faults_of_spec ~nprocs = function
       | Error msg -> Error (Printf.sprintf "bad --faults: %s" msg)
       | Ok () -> Ok (Some sched)))
 
-(* Every name [Config.protocol_of_string] accepts, for help and errors. *)
-let protocol_names =
-  String.concat ", " (List.map Config.protocol_name Config.extended_protocols)
-
-let run_one app_name protocol_name nprocs tiny seed trace_file trace_format
-    check faults_spec net topology =
-  match Registry.find app_name with
-  | None ->
-    Printf.eprintf "unknown application %S; try `adsm_run list'\n" app_name;
-    1
-  | Some _ when trace_format <> None && trace_file = None ->
+let run_one app protocol nprocs tiny seed trace_file trace_format check
+    faults_spec net topology =
+  if trace_format <> None && trace_file = None then begin
     Printf.eprintf "--trace-format requires --trace\n";
     1
-  | Some app -> (
-    match Config.protocol_of_string protocol_name with
-    | None ->
-      Printf.eprintf
-        "unknown protocol %S (%s)\n"
-        protocol_name protocol_names;
+  end
+  else
+    match faults_of_spec ~nprocs faults_spec with
+    | Error msg ->
+      Printf.eprintf "%s\n" msg;
       1
-    | Some protocol -> (
-      match faults_of_spec ~nprocs faults_spec with
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        1
-      | Ok faults -> (
+    | Ok faults -> (
       match fabric_tweak net topology with
       | Error msg ->
         Printf.eprintf "bad --topology: %s\n" msg;
         1
       | Ok tweak -> (
-      let scale = scale_of_tiny tiny in
-      let module Trace = Adsm_trace in
-      let trace_format =
-        Option.value trace_format ~default:Trace.Sink.Jsonl
-      in
-      match
-        match trace_file with
-        | None -> Ok None
-        | Some path -> (
-          try
-            Ok
-              (Some
-                 (Trace.Tracer.create
-                    [ Trace.Sink.file trace_format ~nodes:nprocs path ]))
-          with Sys_error msg -> Error msg)
-      with
-      | Error msg ->
-        Printf.eprintf "cannot open trace file: %s\n" msg;
-        1
-      | Ok tracer ->
-      let recorder = if check then Recorder.create () else Recorder.disabled in
-      let m =
-        Runner.run ?tracer ~recorder ~tweak ?faults ~seed:(Int64.of_int seed)
-          ~app ~protocol ~nprocs ~scale ()
-      in
-      (match (tracer, trace_file) with
-      | Some tracer, Some path ->
-        Trace.Tracer.close tracer;
-        Printf.printf "wrote %d trace events to %s\n"
-          (Trace.Tracer.emitted tracer)
-          path
-      | _ -> ());
-      let speedup = Runner.speedup m in
-      Printf.printf "%s under %s on %d processor(s) [%s scale]\n"
-        m.Runner.app
-        (Config.protocol_name protocol)
-        nprocs
-        (match scale with Registry.Tiny -> "tiny" | Registry.Default -> "default");
-      Printf.printf "  simulated time   %.3f ms\n"
-        (float_of_int m.Runner.time_ns /. 1e6);
-      Printf.printf "  speedup          %.2f\n" speedup;
-      Printf.printf "  messages         %d\n" m.Runner.messages;
-      Printf.printf "  data             %.2f MB\n"
-        (float_of_int m.Runner.data_bytes /. 1_048_576.);
-      Printf.printf "  ownership reqs   %d (refused %d)\n" m.Runner.own_requests
-        m.Runner.own_refusals;
-      Printf.printf "  twins/diffs      %d / %d (%.2f MB)\n"
-        m.Runner.twins_created m.Runner.diffs_created
-        (float_of_int (m.Runner.twin_bytes + m.Runner.diff_bytes)
-        /. 1_048_576.);
-      Printf.printf "  faults           %d read, %d write\n"
-        m.Runner.read_faults m.Runner.write_faults;
-      Printf.printf "  GC runs          %d\n" m.Runner.gc_runs;
-      Printf.printf "  checksum         %.6f\n" m.Runner.checksum;
-      (match faults with
-      | Some sched ->
-        Printf.printf "  faults           %s\n" (Adsm_net.Fault.to_string sched)
-      | None -> ());
-      if not check then 0
-      else begin
-        let report = Oracle.check ~nprocs (Recorder.stream recorder) in
-        Format.printf "%a@." Oracle.pp_report report;
-        if Oracle.ok report then 0
-        else begin
-          List.iter
-            (fun v ->
-              Format.printf "%a@." Oracle.pp_violation v)
-            report.Oracle.violations;
+        let scale = scale_of_tiny tiny in
+        let module Trace = Adsm_trace in
+        let trace_format =
+          Option.value trace_format ~default:Trace.Sink.Jsonl
+        in
+        match
+          match trace_file with
+          | None -> Ok None
+          | Some path -> (
+            try
+              Ok
+                (Some
+                   (Trace.Tracer.create
+                      [ Trace.Sink.file trace_format ~nodes:nprocs path ]))
+            with Sys_error msg -> Error msg)
+        with
+        | Error msg ->
+          Printf.eprintf "cannot open trace file: %s\n" msg;
           1
-        end
-      end))))
+        | Ok tracer ->
+          let recorder =
+            if check then Recorder.create () else Recorder.disabled
+          in
+          let m =
+            Runner.run ?tracer ~recorder ~seed:(Int64.of_int seed)
+              (Runner.cell ~scale ~tweak ?faults ~protocol ~nprocs app)
+          in
+          (match (tracer, trace_file) with
+          | Some tracer, Some path ->
+            Trace.Tracer.close tracer;
+            Printf.printf "wrote %d trace events to %s\n"
+              (Trace.Tracer.emitted tracer)
+              path
+          | _ -> ());
+          let speedup = Runner.speedup m in
+          Printf.printf "%s under %s on %d processor(s) [%s scale]\n"
+            m.Runner.app
+            (Config.protocol_name protocol)
+            nprocs
+            (match scale with
+            | Registry.Tiny -> "tiny"
+            | Registry.Default -> "default");
+          Printf.printf "  simulated time   %.3f ms\n"
+            (float_of_int m.Runner.time_ns /. 1e6);
+          Printf.printf "  speedup          %.2f\n" speedup;
+          Printf.printf "  messages         %d\n" m.Runner.messages;
+          Printf.printf "  data             %.2f MB\n"
+            (float_of_int m.Runner.data_bytes /. 1_048_576.);
+          Printf.printf "  ownership reqs   %d (refused %d)\n"
+            m.Runner.own_requests m.Runner.own_refusals;
+          Printf.printf "  twins/diffs      %d / %d (%.2f MB)\n"
+            m.Runner.twins_created m.Runner.diffs_created
+            (float_of_int (m.Runner.twin_bytes + m.Runner.diff_bytes)
+            /. 1_048_576.);
+          Printf.printf "  faults           %d read, %d write\n"
+            m.Runner.read_faults m.Runner.write_faults;
+          Printf.printf "  GC runs          %d\n" m.Runner.gc_runs;
+          Printf.printf "  checksum         %.6f\n" m.Runner.checksum;
+          (match faults with
+          | Some sched ->
+            Printf.printf "  faults           %s\n"
+              (Adsm_net.Fault.to_string sched)
+          | None -> ());
+          if not check then 0
+          else begin
+            let report = Oracle.check ~nprocs (Recorder.stream recorder) in
+            Format.printf "%a@." Oracle.pp_report report;
+            if Oracle.ok report then 0
+            else begin
+              List.iter
+                (fun v -> Format.printf "%a@." Oracle.pp_violation v)
+                report.Oracle.violations;
+              1
+            end
+          end))
 
 (* --- the full experiment suite --- *)
 
-let run_experiments tiny nprocs apps out jobs net topology =
-  match fabric_tweak net topology with
-  | Error msg ->
+let run_experiments tiny nprocs apps out jobs net topology only =
+  let apps = match apps with [] -> None | l -> Some l in
+  match (fabric_tweak net topology, out) with
+  | Error msg, _ ->
     Printf.eprintf "bad --topology: %s\n" msg;
     1
-  | Ok tweak -> (
-    let apps = match apps with [] -> None | l -> Some l in
-    match out with
-    | None ->
-      print_string
-        (Experiments.run_all ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-           ~tweak ());
-      0
-    | Some dir ->
-      let suite =
-        Experiments.collect ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
-          ~tweak ()
-      in
-      let written = Experiments.export_csv suite ~dir in
-      List.iter (Printf.printf "wrote %s\n") written;
-      0)
+  | Ok _, Some _ when only <> [] ->
+    Printf.eprintf "--out writes every CSV file and takes no ARTIFACT\n";
+    1
+  | Ok tweak, None ->
+    let only = match only with [] -> None | l -> Some l in
+    print_string
+      (Experiments.run_all ?only ?apps ~scale:(scale_of_tiny tiny) ~nprocs
+         ~jobs ~tweak ());
+    0
+  | Ok tweak, Some dir ->
+    let suite =
+      Experiments.collect ?apps ~scale:(scale_of_tiny tiny) ~nprocs ~jobs
+        ~tweak ()
+    in
+    let written = Experiments.export_csv suite ~dir in
+    List.iter (Printf.printf "wrote %s\n") written;
+    0
 
 let list_apps () =
   List.iter
@@ -182,14 +176,6 @@ let list_apps () =
   0
 
 (* --- cmdliner wiring --- *)
-
-let app_arg =
-  Arg.(value & opt string "SOR" & info [ "app"; "a" ] ~doc:"Application name.")
-
-let protocol_arg =
-  Arg.(
-    value & opt string "WFS"
-    & info [ "protocol"; "p" ] ~doc:("Protocol: " ^ protocol_names ^ "."))
 
 (* Rejecting an out-of-range count here makes every subcommand fail as a
    usage error (exit 124) naming the flag, instead of an uncaught
@@ -215,13 +201,47 @@ let tiny_arg =
 let seed_arg =
   Arg.(value & opt int 0x5EED & info [ "seed" ] ~doc:"Simulation seed.")
 
-let unknown_app name =
-  Printf.sprintf "unknown application %S (valid: %s)" name
-    (String.concat ", " Registry.names)
+let unknown ~what ~names name =
+  Printf.sprintf "unknown %s %S (valid: %s)" what name
+    (String.concat ", " names)
+
+(* A name-valued argument: an unknown name is a usage error (exit 124)
+   that names the option and lists every valid value, before anything
+   runs. *)
+let name_conv ~what ~names of_string to_string =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (unknown ~what ~names s)
+  in
+  Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
 
 let app_conv =
-  let parse s = if Registry.find s = None then Error (unknown_app s) else Ok s in
-  Arg.conv' (parse, Format.pp_print_string)
+  name_conv ~what:"application" ~names:Registry.names
+    (fun s -> Option.map (fun e -> e.Registry.name) (Registry.find s))
+    Fun.id
+
+let app_arg =
+  Arg.(
+    value & opt app_conv "SOR" & info [ "app"; "a" ] ~doc:"Application name.")
+
+let protocol_names = List.map Config.protocol_name Config.extended_protocols
+
+let protocol_arg =
+  Arg.(
+    value
+    & opt
+        (name_conv ~what:"protocol" ~names:protocol_names
+           Config.protocol_of_string Config.protocol_name)
+        Config.Wfs
+    & info [ "protocol"; "p" ]
+        ~doc:("Protocol: " ^ String.concat ", " protocol_names ^ "."))
+
+(* Names matched exactly, for the subcommands' positional lists. *)
+let exact_conv ~what names =
+  name_conv ~what ~names
+    (fun s -> if List.mem s names then Some s else None)
+    Fun.id
 
 let apps_arg =
   Arg.(
@@ -297,79 +317,58 @@ let run_cmd =
 
 (* --- oracle-checked workload fuzzing --- *)
 
-let run_fuzz protocol_name nprocs seeds seed mutation_name faults jobs =
-  match Config.protocol_of_string protocol_name with
-  | None ->
-    Printf.eprintf
-      "unknown protocol %S (%s)\n"
-      protocol_name protocol_names;
-    1
-  | Some protocol -> (
-    let mutation =
-      match mutation_name with
-      | None -> Ok None
-      | Some s -> (
-        match Config.mutation_of_string s with
-        | Some m -> Ok (Some m)
-        | None -> Error s)
-    in
-    match mutation with
-    | Error s ->
-      Printf.eprintf "unknown mutation %S (available: %s)\n" s
-        (String.concat ", " (List.map Config.mutation_name Config.all_mutations));
-      1
-    | Ok mutation ->
-      (* The seed sweep fans out over [jobs] worker domains; results come
-         back in seed order, and shrinking of any failing seed stays
-         sequential down here so its output is deterministic. *)
-      let results =
-        Fuzz.sweep ~jobs ?mutation ~protocol ~faults ~nprocs ~seed
-          ~count:seeds ()
-      in
-      let failures = ref 0 in
-      List.iter
-        (fun (s, result) ->
-          match result with
-          | Error msg ->
-            incr failures;
-            Printf.printf "seed %d: CRASH (%s)\n" s msg
-          | Ok o ->
-            if Oracle.ok o.Fuzz.report then
-              Printf.printf "seed %d: ok (%d observations, %d reads)\n" s
-                o.Fuzz.report.Oracle.observations o.Fuzz.report.Oracle.reads
-            else begin
-              incr failures;
-              Printf.printf "seed %d: %d violation(s), shrinking...\n" s
-                (List.length o.Fuzz.report.Oracle.violations
-                + List.length o.Fuzz.report.Oracle.fault_errors);
-              let minimal =
-                match
-                  Fuzz.shrink_failing ?mutation ~protocol
-                    ~seed:(Int64.of_int s) ?faults:o.Fuzz.faults
-                    o.Fuzz.program
-                with
-                | Some shrunk -> shrunk
-                | None -> o
-              in
-              match Fuzz.counterexample minimal with
-              | Some text -> print_string text
-              | None -> ()
-            end)
-        results;
-      match mutation with
-      | Some m ->
-        (* Mutation runs invert the exit logic: the oracle MUST notice. *)
-        if !failures > 0 then begin
-          Printf.printf "mutation %s: detected (%d of %d seeds)\n"
-            (Config.mutation_name m) !failures seeds;
-          0
-        end
+let run_fuzz protocol nprocs seeds seed mutation faults jobs =
+  (* The seed sweep fans out over [jobs] worker domains; results come
+     back in seed order, and shrinking of any failing seed stays
+     sequential down here so its output is deterministic. *)
+  let results =
+    Fuzz.sweep ~jobs ?mutation ~protocol ~faults ~nprocs ~seed
+      ~count:seeds ()
+  in
+  let failures = ref 0 in
+  List.iter
+    (fun (s, result) ->
+      match result with
+      | Error msg ->
+        incr failures;
+        Printf.printf "seed %d: CRASH (%s)\n" s msg
+      | Ok o ->
+        if Oracle.ok o.Fuzz.report then
+          Printf.printf "seed %d: ok (%d observations, %d reads)\n" s
+            o.Fuzz.report.Oracle.observations o.Fuzz.report.Oracle.reads
         else begin
-          Printf.printf "mutation %s: NOT detected in %d seeds\n"
-            (Config.mutation_name m) seeds;
-          1
-        end
-      | None -> if !failures = 0 then 0 else 1)
+          incr failures;
+          Printf.printf "seed %d: %d violation(s), shrinking...\n" s
+            (List.length o.Fuzz.report.Oracle.violations
+            + List.length o.Fuzz.report.Oracle.fault_errors);
+          let minimal =
+            match
+              Fuzz.shrink_failing ?mutation ~protocol
+                ~seed:(Int64.of_int s) ?faults:o.Fuzz.faults
+                o.Fuzz.program
+            with
+            | Some shrunk -> shrunk
+            | None -> o
+          in
+          match Fuzz.counterexample minimal with
+          | Some text -> print_string text
+          | None -> ()
+        end)
+    results;
+  match mutation with
+  | Some m ->
+    (* Mutation runs invert the exit logic: the oracle MUST notice. *)
+    if !failures > 0 then begin
+      Printf.printf "mutation %s: detected (%d of %d seeds)\n"
+        (Config.mutation_name m) !failures seeds;
+      0
+    end
+    else begin
+      Printf.printf "mutation %s: NOT detected in %d seeds\n"
+        (Config.mutation_name m) seeds;
+      1
+    end
+  | None -> if !failures = 0 then 0 else 1
 
 let jobs_arg =
   Arg.(
@@ -386,16 +385,20 @@ let seeds_arg =
     & info [ "seeds" ] ~docv:"N" ~doc:"Number of consecutive seeds to run.")
 
 let mutation_arg =
+  let names = List.map Config.mutation_name Config.all_mutations in
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (some
+           (name_conv ~what:"mutation" ~names Config.mutation_of_string
+              Config.mutation_name))
+        None
     & info [ "mutation" ] ~docv:"NAME"
-        ~doc:"Inject a deliberately broken protocol variant \
-              (skip-diff-apply, drop-write-notice, \
-              stale-ownership-grant, skip-notice-replay, \
-              stale-vc-after-restart); the run then $(i,fails) unless \
-              the oracle detects the bug.  The two recovery mutations \
-              only manifest under crashes — combine with $(b,--faults).")
+        ~doc:("Inject a deliberately broken protocol variant ("
+              ^ String.concat ", " names
+              ^ "); the run then $(i,fails) unless the oracle detects the \
+                 bug.  The two recovery mutations only manifest under \
+                 crashes — combine with $(b,--faults)."))
 
 let fuzz_faults_arg =
   Arg.(
@@ -425,13 +428,43 @@ let out_arg =
         ~doc:"Write machine-readable CSV files into $(docv) instead of \
               printing tables.")
 
+let artifacts_arg =
+  Arg.(
+    value
+    & pos_all (exact_conv ~what:"artifact" Experiments.names) []
+    & info [] ~docv:"ARTIFACT"
+        ~doc:("Print only these artifacts, in paper order: "
+              ^ String.concat ", " Experiments.names
+              ^ ".  Default: every one but simcost (events executed, wire \
+                 bytes and messages per protocol)."))
+
 let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate every table and figure of the paper")
     Term.(
       const run_experiments $ tiny_arg $ procs_arg $ apps_arg $ out_arg
-      $ jobs_arg $ net_arg $ topology_arg)
+      $ jobs_arg $ net_arg $ topology_arg $ artifacts_arg)
+
+let perf_cmd =
+  let grid_arg =
+    Arg.(
+      value & flag
+      & info [ "grid" ]
+          ~doc:"Also time the full 1024-node grid (every app, protocol and \
+                fabric; minutes of wall clock).")
+  in
+  Cmd.v
+    (Cmd.info "perf"
+       ~doc:
+         "Measure the simulator's host cost and write BENCH_suite.json: \
+          the paper suite run sequentially and again on $(b,--jobs) \
+          domains, plus SOR scaling rows to 1024 nodes.  Exits non-zero \
+          if the parallel pass diverges from the sequential one or, on a \
+          multicore host, is not faster than it.")
+    Term.(
+      const (fun tiny grid jobs -> Perf.run ~tiny ~jobs ~grid)
+      $ tiny_arg $ grid_arg $ jobs_arg)
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the available applications")
@@ -475,7 +508,8 @@ let app_list_conv =
     | [] -> Error "no application given"
     | names -> (
       match List.find_opt (fun a -> Registry.find a = None) names with
-      | Some bad -> Error (unknown_app bad)
+      | Some bad ->
+        Error (unknown ~what:"application" ~names:Registry.names bad)
       | None -> Ok names)
   in
   Arg.conv'
@@ -520,31 +554,23 @@ let scaling_cmd =
       $ scaling_out_arg $ scaling_apps_arg)
 
 let run_ablations studies jobs =
-  let module Ablations = Adsm_harness.Ablations in
-  match studies with
-  | [] ->
-    print_string (Ablations.run_all ~jobs ());
-    0
+  (match studies with
+  | [] -> print_string (Ablations.run_all ~jobs ())
   | names ->
-    List.fold_left
-      (fun code name ->
-        match Ablations.run ~jobs name with
-        | Some table ->
-          print_string table;
-          print_newline ();
-          code
-        | None ->
-          Printf.eprintf "unknown study %S (available: %s)\n" name
-            (String.concat ", " Ablations.names);
-          1)
-      0 names
+    List.iter
+      (fun name ->
+        print_string (Ablations.run ~jobs name);
+        print_newline ())
+      names);
+  0
 
 let studies_arg =
   Arg.(
-    value & pos_all string []
+    value
+    & pos_all (exact_conv ~what:"study" Ablations.names) []
     & info [] ~docv:"STUDY"
-        ~doc:"Studies to run: quantum, threshold, network, migratory, \
-              hlrc, scaling.  Default: all.")
+        ~doc:("Studies to run: " ^ String.concat ", " Ablations.names
+              ^ ".  Default: all."))
 
 let ablations_cmd =
   Cmd.v
@@ -585,49 +611,40 @@ let survive_cmd =
 
 (* --- cross-protocol verification --- *)
 
-let run_verify app_name tiny nprocs jobs =
-  match Registry.find app_name with
-  | None ->
-    Printf.eprintf "unknown application %S; try `adsm_run list'\n" app_name;
+let run_verify app tiny nprocs jobs =
+  let scale = scale_of_tiny tiny in
+  (* The sequential reference and every protocol run are independent,
+     so they all go through the pool in one batch. *)
+  let reference, runs =
+    match
+      Runner.run_cells ~jobs
+        (Runner.cell ~scale ~protocol:Config.Sw ~nprocs:1 app
+        :: Runner.grid ~scale ~protocols:Config.extended_protocols
+             ~nprocs:[ nprocs ] [ app ])
+    with
+    | r :: runs -> (r, runs)
+    | [] -> assert false
+  in
+  Printf.printf "%s: sequential checksum %h\n" reference.Runner.app
+    reference.Runner.checksum;
+  let failures = ref 0 in
+  List.iter
+    (fun (m : Runner.measurement) ->
+      let ok = m.checksum = reference.Runner.checksum in
+      if not ok then incr failures;
+      Printf.printf "  %-8s %dp  %s\n"
+        (Config.protocol_name m.protocol)
+        nprocs
+        (if ok then "ok" else Printf.sprintf "MISMATCH (%h)" m.checksum))
+    runs;
+  if !failures = 0 then begin
+    Printf.printf "all protocols agree bit-for-bit\n";
+    0
+  end
+  else begin
+    Printf.printf "%d protocol(s) diverged\n" !failures;
     1
-  | Some app ->
-    let scale = scale_of_tiny tiny in
-    (* The sequential reference and every protocol run are independent,
-       so they all go through the pool in one batch. *)
-    let cells =
-      (Config.Sw, 1)
-      :: List.map (fun p -> (p, nprocs)) Config.extended_protocols
-    in
-    let checksums =
-      Pool.map ~jobs
-        (fun (protocol, nprocs) ->
-          (Runner.run ~app ~protocol ~nprocs ~scale ()).Runner.checksum)
-        cells
-    in
-    let reference, values =
-      match checksums with
-      | r :: vs -> (r, vs)
-      | [] -> assert false
-    in
-    Printf.printf "%s: sequential checksum %h\n" app.Registry.name reference;
-    let failures = ref 0 in
-    List.iter2
-      (fun protocol value ->
-        let ok = value = reference in
-        if not ok then incr failures;
-        Printf.printf "  %-8s %dp  %s\n"
-          (Config.protocol_name protocol)
-          nprocs
-          (if ok then "ok" else Printf.sprintf "MISMATCH (%h)" value))
-      Config.extended_protocols values;
-    if !failures = 0 then begin
-      Printf.printf "all protocols agree bit-for-bit\n";
-      0
-    end
-    else begin
-      Printf.printf "%d protocol(s) diverged\n" !failures;
-      1
-    end
+  end
 
 let verify_cmd =
   Cmd.v
@@ -646,7 +663,7 @@ let main =
           reproduction of Amza et al., HPCA 1997")
     [
       run_cmd; experiments_cmd; scaling_cmd; ablations_cmd; verify_cmd;
-      fuzz_cmd; survive_cmd; list_cmd;
+      fuzz_cmd; survive_cmd; perf_cmd; list_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -23,7 +23,7 @@ let () =
     "data(MB)" "twin+diff" "switches";
   List.iter
     (fun protocol ->
-      let m = Runner.run ~app ~protocol ~nprocs ~scale:Registry.Default () in
+      let m = Runner.run (Runner.cell ~protocol ~nprocs "SOR") in
       Printf.printf "%-8s %8.2f %9d %9.2f %8.2fMB %8d\n"
         (Config.protocol_name protocol)
         (Runner.speedup m) m.Runner.messages
@@ -34,10 +34,8 @@ let () =
     Config.all_protocols;
   print_newline ();
   (* Show the WG adaptation: mean diff size under WFS+WG vs plain MW. *)
-  let mw = Runner.run ~app ~protocol:Config.Mw ~nprocs ~scale:Registry.Default () in
-  let wg =
-    Runner.run ~app ~protocol:Config.Wfs_wg ~nprocs ~scale:Registry.Default ()
-  in
+  let mw = Runner.run (Runner.cell ~protocol:Config.Mw ~nprocs "SOR") in
+  let wg = Runner.run (Runner.cell ~protocol:Config.Wfs_wg ~nprocs "SOR") in
   Printf.printf
     "MW created %d diffs (mean %.0f B); WFS+WG created %d — its pages flip\n\
      to single-writer mode once their diffs cross the 3 KB threshold.\n"

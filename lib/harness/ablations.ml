@@ -1,51 +1,48 @@
 module Config = Adsm_dsm.Config
 module Netcfg = Adsm_net.Netcfg
-module Registry = Adsm_apps.Registry
-
-let app name =
-  match Registry.find name with
-  | Some e -> e
-  | None -> invalid_arg ("Ablations: unknown application " ^ name)
-
-let speedup ?tweak name protocol ~nprocs =
-  let m =
-    Runner.run ?tweak ~app:(app name) ~protocol ~nprocs
-      ~scale:Registry.Default ()
-  in
-  Runner.speedup m
 
 let fmt2 = Printf.sprintf "%.2f"
 
-(* Each study is a grid of independent simulations; [cells] evaluates the
-   whole grid on the pool (input order preserved) and [chunk] slices the
-   flat results back into table rows.  With [jobs = 1] this is exactly
-   the old nested [List.map]. *)
-let cells ~jobs grid f = Pool.map ~jobs f grid
+let speedup m = fmt2 (Runner.speedup m)
 
-let chunk n l =
-  let rec go acc row k = function
-    | [] -> List.rev (if row = [] then acc else List.rev row :: acc)
-    | x :: rest ->
-      if k = n - 1 then go (List.rev (x :: row) :: acc) [] 0 rest
-      else go acc (x :: row) (k + 1) rest
+(* Each study is a rows x columns grid of independent runs: [grid] runs
+   [cell row col] for every pair in one pool pass (input order kept) and
+   returns each row with its columns' measurements. *)
+let grid ~jobs rows cols cell =
+  let width = List.length cols in
+  let ms =
+    Runner.run_cells ~jobs
+      (List.concat_map (fun r -> List.map (cell r) cols) rows)
   in
-  go [] [] 0 l
+  List.mapi (fun i r -> (r, List.filteri (fun j _ -> j / width = i) ms)) rows
 
-let grid_of apps values = List.concat_map (fun a -> List.map (fun v -> (a, v)) values) apps
+(* Table rows of each app's speedup per column. *)
+let speedups ~jobs apps cols cell =
+  List.map
+    (fun (name, ms) -> name :: List.map speedup ms)
+    (grid ~jobs apps cols cell)
+
+(* An off/on study of one configuration flag: speedup with the flag off
+   and on, then [count] off and on. *)
+let toggle ~jobs ~protocol ~set ~count apps =
+  List.map
+    (fun (name, ms) ->
+      (name :: List.map speedup ms)
+      @ List.map (fun m -> string_of_int (count m)) ms)
+    (grid ~jobs apps [ false; true ] (fun name on ->
+         Runner.cell ~protocol ~nprocs:8 ~tweak:(fun c -> set c on) name))
 
 (* --- ownership quantum ------------------------------------------- *)
 
 let quantum ?(jobs = 1) () =
-  let values = [ 50_000; 250_000; 1_000_000; 4_000_000 ] in
-  let apps = [ "Shallow"; "Barnes"; "IS" ] in
-  let results =
-    cells ~jobs (grid_of apps values) (fun (name, q) ->
-        fmt2
-          (speedup name Config.Sw ~nprocs:8
-             ~tweak:(fun c -> { c with Config.ownership_quantum_ns = q })))
-  in
   let rows =
-    List.map2 (fun name cs -> name :: cs) apps (chunk (List.length values) results)
+    speedups ~jobs
+      [ "Shallow"; "Barnes"; "IS" ]
+      [ 50_000; 250_000; 1_000_000; 4_000_000 ]
+      (fun name q ->
+        Runner.cell ~protocol:Config.Sw ~nprocs:8
+          ~tweak:(fun c -> { c with Config.ownership_quantum_ns = q })
+          name)
   in
   Tables.render
     ~title:
@@ -60,16 +57,14 @@ let quantum ?(jobs = 1) () =
 (* --- WFS+WG threshold --------------------------------------------- *)
 
 let threshold ?(jobs = 1) () =
-  let values = [ 1_024; 3_072; 8_192 ] in
-  let apps = [ "TSP"; "Water"; "3D-FFT"; "IS" ] in
-  let results =
-    cells ~jobs (grid_of apps values) (fun (name, w) ->
-        fmt2
-          (speedup name Config.Wfs_wg ~nprocs:8
-             ~tweak:(fun c -> { c with Config.wg_threshold_bytes = w })))
-  in
   let rows =
-    List.map2 (fun name cs -> name :: cs) apps (chunk (List.length values) results)
+    speedups ~jobs
+      [ "TSP"; "Water"; "3D-FFT"; "IS" ]
+      [ 1_024; 3_072; 8_192 ]
+      (fun name w ->
+        Runner.cell ~protocol:Config.Wfs_wg ~nprocs:8
+          ~tweak:(fun c -> { c with Config.wg_threshold_bytes = w })
+          name)
   in
   Tables.render
     ~title:
@@ -82,37 +77,22 @@ let threshold ?(jobs = 1) () =
 (* --- network model ------------------------------------------------ *)
 
 let network ?(jobs = 1) () =
-  let nets =
-    [ ("ATM'97", Netcfg.atm_155); ("fast", Netcfg.fast_ethernet) ]
-  in
-  let apps = [ "IS"; "Barnes" ] in
   let protocols = [ Config.Mw; Config.Sw; Config.Wfs ] in
-  let grid =
-    List.concat_map
-      (fun name ->
-        List.concat_map
-          (fun protocol -> List.map (fun (_, net) -> (name, protocol, net)) nets)
-          protocols)
-      apps
-  in
-  let results =
-    cells ~jobs grid (fun (name, protocol, net) ->
-        fmt2
-          (speedup name protocol ~nprocs:8
-             ~tweak:(fun c -> { c with Config.net })))
-  in
-  let labels =
-    List.concat_map
-      (fun name ->
-        List.mapi
-          (fun i protocol ->
-            [ (if i = 0 then name else ""); Config.protocol_name protocol ])
-          protocols)
-      apps
-  in
   let rows =
-    List.map2 (fun label cs -> label @ cs) labels
-      (chunk (List.length nets) results)
+    List.map
+      (fun ((name, protocol), ms) ->
+        (if protocol = List.hd protocols then name else "")
+        :: Config.protocol_name protocol
+        :: List.map speedup ms)
+      (grid ~jobs
+         (List.concat_map
+            (fun name -> List.map (fun p -> (name, p)) protocols)
+            [ "IS"; "Barnes" ])
+         [ Netcfg.atm_155; Netcfg.fast_ethernet ]
+         (fun (name, protocol) net ->
+           Runner.cell ~protocol ~nprocs:8
+             ~tweak:(fun c -> { c with Config.net })
+             name))
   in
   Tables.render
     ~title:
@@ -126,28 +106,11 @@ let network ?(jobs = 1) () =
 (* --- migratory-detection extension -------------------------------- *)
 
 let migratory ?(jobs = 1) () =
-  let apps = [ "IS"; "TSP"; "Water" ] in
-  let results =
-    cells ~jobs (grid_of apps [ false; true ]) (fun (name, detect) ->
-        Runner.run
-          ~tweak:(fun c -> { c with Config.migratory_detection = detect })
-          ~app:(app name) ~protocol:Config.Wfs ~nprocs:8
-          ~scale:Registry.Default ())
-  in
   let rows =
-    List.map2
-      (fun name ms ->
-        match ms with
-        | [ off; on ] ->
-          [
-            name;
-            fmt2 (Runner.speedup off);
-            fmt2 (Runner.speedup on);
-            string_of_int off.Runner.messages;
-            string_of_int on.Runner.messages;
-          ]
-        | _ -> assert false)
-      apps (chunk 2 results)
+    toggle ~jobs ~protocol:Config.Wfs
+      ~set:(fun c migratory_detection -> { c with Config.migratory_detection })
+      ~count:(fun m -> m.Runner.messages)
+      [ "IS"; "TSP"; "Water" ]
   in
   Tables.render
     ~title:
@@ -161,28 +124,11 @@ let migratory ?(jobs = 1) () =
 (* --- lazy diffing --------------------------------------------------- *)
 
 let lazydiff ?(jobs = 1) () =
-  let apps = [ "SOR"; "3D-FFT"; "Shallow"; "Barnes" ] in
-  let results =
-    cells ~jobs (grid_of apps [ false; true ]) (fun (name, lazy_diffing) ->
-        Runner.run
-          ~tweak:(fun c -> { c with Config.lazy_diffing })
-          ~app:(app name) ~protocol:Config.Mw ~nprocs:8
-          ~scale:Registry.Default ())
-  in
   let rows =
-    List.map2
-      (fun name ms ->
-        match ms with
-        | [ eager; lz ] ->
-          [
-            name;
-            fmt2 (Runner.speedup eager);
-            fmt2 (Runner.speedup lz);
-            string_of_int eager.Runner.diffs_created;
-            string_of_int lz.Runner.diffs_created;
-          ]
-        | _ -> assert false)
-      apps (chunk 2 results)
+    toggle ~jobs ~protocol:Config.Mw
+      ~set:(fun c lazy_diffing -> { c with Config.lazy_diffing })
+      ~count:(fun m -> m.Runner.diffs_created)
+      [ "SOR"; "3D-FFT"; "Shallow"; "Barnes" ]
   in
   Tables.render
     ~title:
@@ -198,28 +144,11 @@ let lazydiff ?(jobs = 1) () =
 (* --- software write detection --------------------------------------- *)
 
 let writeranges ?(jobs = 1) () =
-  let apps = [ "TSP"; "Barnes"; "Water"; "SOR"; "IS" ] in
-  let results =
-    cells ~jobs (grid_of apps [ false; true ]) (fun (name, write_ranges) ->
-        Runner.run
-          ~tweak:(fun c -> { c with Config.write_ranges })
-          ~app:(app name) ~protocol:Config.Mw ~nprocs:8
-          ~scale:Registry.Default ())
-  in
   let rows =
-    List.map2
-      (fun name ms ->
-        match ms with
-        | [ twin; wr ] ->
-          [
-            name;
-            fmt2 (Runner.speedup twin);
-            fmt2 (Runner.speedup wr);
-            string_of_int twin.Runner.twins_created;
-            string_of_int wr.Runner.twins_created;
-          ]
-        | _ -> assert false)
-      apps (chunk 2 results)
+    toggle ~jobs ~protocol:Config.Mw
+      ~set:(fun c write_ranges -> { c with Config.write_ranges })
+      ~count:(fun m -> m.Runner.twins_created)
+      [ "TSP"; "Barnes"; "Water"; "SOR"; "IS" ]
   in
   Tables.render
     ~title:
@@ -237,23 +166,17 @@ let writeranges ?(jobs = 1) () =
 (* --- HLRC extension ------------------------------------------------ *)
 
 let hlrc ?(jobs = 1) () =
-  let protocols = [ Config.Mw; Config.Wfs; Config.Hlrc ] in
-  let apps = [ "IS"; "SOR"; "Shallow"; "Barnes"; "ILINK" ] in
-  let results =
-    cells ~jobs (grid_of apps protocols) (fun (name, protocol) ->
-        Runner.run ~app:(app name) ~protocol ~nprocs:8
-          ~scale:Registry.Default ())
-  in
   let rows =
-    List.map2
-      (fun name ms ->
+    List.map
+      (fun (name, ms) ->
         name
         :: List.concat_map
-             (fun m ->
-               [ fmt2 (Runner.speedup m); Tables.thousands m.Runner.messages ])
+             (fun m -> [ speedup m; Tables.thousands m.Runner.messages ])
              ms)
-      apps
-      (chunk (List.length protocols) results)
+      (grid ~jobs
+         [ "IS"; "SOR"; "Shallow"; "Barnes"; "ILINK" ]
+         [ Config.Mw; Config.Wfs; Config.Hlrc ]
+         (fun name protocol -> Runner.cell ~protocol ~nprocs:8 name))
   in
   Tables.render
     ~title:
@@ -274,14 +197,11 @@ let hlrc ?(jobs = 1) () =
 (* --- processor scaling -------------------------------------------- *)
 
 let scaling ?(jobs = 1) () =
-  let counts = [ 1; 2; 4; 8 ] in
-  let apps = [ "SOR"; "ILINK"; "Barnes"; "3D-FFT" ] in
-  let results =
-    cells ~jobs (grid_of apps counts) (fun (name, nprocs) ->
-        fmt2 (speedup name Config.Wfs ~nprocs))
-  in
   let rows =
-    List.map2 (fun name cs -> name :: cs) apps (chunk (List.length counts) results)
+    speedups ~jobs
+      [ "SOR"; "ILINK"; "Barnes"; "3D-FFT" ]
+      [ 1; 2; 4; 8 ]
+      (fun name nprocs -> Runner.cell ~protocol:Config.Wfs ~nprocs name)
   in
   Tables.render
     ~title:
@@ -307,7 +227,9 @@ let studies =
 let names = List.map fst studies
 
 let run ?jobs name =
-  Option.map (fun f -> f ?jobs ()) (List.assoc_opt name studies)
+  match List.assoc_opt name studies with
+  | Some f -> f ?jobs ()
+  | None -> invalid_arg ("Ablations.run: unknown study " ^ name)
 
 let run_all ?jobs () =
   String.concat "\n" (List.map (fun (_, f) -> f ?jobs ()) studies)

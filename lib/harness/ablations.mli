@@ -15,25 +15,13 @@
     the grid out over that many worker domains via {!Pool} with
     bit-identical tables for any value. *)
 
-val quantum : ?jobs:int -> unit -> string
-
-val threshold : ?jobs:int -> unit -> string
-
-val network : ?jobs:int -> unit -> string
-
-val migratory : ?jobs:int -> unit -> string
-
-val lazydiff : ?jobs:int -> unit -> string
-
-val writeranges : ?jobs:int -> unit -> string
-
-val hlrc : ?jobs:int -> unit -> string
-
-val scaling : ?jobs:int -> unit -> string
-
+(** Study names: quantum, threshold, network, migratory, lazydiff,
+    writeranges, hlrc, scaling. *)
 val names : string list
 
-val run : ?jobs:int -> string -> string option
-(** [run name] executes one study by name. *)
+(** [run name] executes one study by name.
+    @raise Invalid_argument if [name] is not in {!names}. *)
+val run : ?jobs:int -> string -> string
 
+(** Every study, in {!names} order. *)
 val run_all : ?jobs:int -> unit -> string

@@ -13,34 +13,13 @@ type suite = {
   measurements : Runner.measurement list;
 }
 
-let selected_apps = function
-  | None -> Registry.all
-  | Some names ->
-    List.filter_map
-      (fun n ->
-        match Registry.find n with
-        | Some e -> Some e
-        | None -> invalid_arg ("Experiments: unknown application " ^ n))
-      names
-
-let collect ?apps ?(scale = Registry.Default) ?(nprocs = 8) ?(jobs = 1)
-    ?(tweak = Fun.id) () =
-  let apps = selected_apps apps in
+let collect ?(apps = Registry.names) ?(scale = Registry.Default) ?(nprocs = 8)
+    ?(jobs = 1) ?(tweak = Fun.id) () =
   let cells =
-    List.concat_map
-      (fun app -> List.map (fun protocol -> (app, protocol)) Config.all_protocols)
+    Runner.grid ~scale ~tweak ~protocols:Config.all_protocols ~nprocs:[ nprocs ]
       apps
   in
-  (* Every (app, protocol) cell is an independent deterministic
-     simulation; [Pool.map] preserves the sequential result order, so the
-     suite is identical for any [jobs]. *)
-  let measurements =
-    Pool.map ~jobs
-      (fun (app, protocol) ->
-        Runner.run ~tweak ~app ~protocol ~nprocs ~scale ())
-      cells
-  in
-  { scale; nprocs; tweak; measurements }
+  { scale; nprocs; tweak; measurements = Runner.run_cells ~jobs cells }
 
 let find suite ~app ~protocol =
   List.find_opt
@@ -318,17 +297,12 @@ let figure3 suite =
        smaller data set (the paper's 1 MB per processor went with a 4 MB
        array; our default grid is 16x smaller), so the characteristic MW
        sawtooth appears within the six iterations. *)
-    let entry =
-      match Registry.find app with Some e -> e | None -> assert false
-    in
     let tweak cfg = suite.tweak { cfg with Config.gc_threshold_bytes = 131_072 } in
     let runs =
-      List.map
-        (fun p ->
-          ( p,
-            Runner.run ~tweak ~app:entry ~protocol:p
-              ~nprocs:suite.nprocs ~scale:suite.scale () ))
-        protocols
+      List.combine protocols
+        (Runner.run_cells
+           (Runner.grid ~scale:suite.scale ~tweak ~protocols
+              ~nprocs:[ suite.nprocs ] [ app ]))
     in
     let t_end =
       List.fold_left
@@ -418,47 +392,49 @@ let survivability_schedule ~count ~nprocs ~duration_ns =
 
 let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
     ?(scale = Registry.Tiny) ?(nprocs = 8) ?(jobs = 1) () =
-  let apps = selected_apps (Some apps) in
-  let protocols = [ Config.Mw; Config.Sw; Config.Wfs ] in
-  let cells =
-    List.concat_map
-      (fun (app : Registry.entry) ->
-        List.map (fun protocol -> (app, protocol)) protocols)
-      apps
+  let base_cells =
+    Runner.grid ~scale ~protocols:[ Config.Mw; Config.Sw; Config.Wfs ]
+      ~nprocs:[ nprocs ] apps
   in
+  let bases = Runner.run_cells ~jobs base_cells in
+  let runs =
+    List.concat
+      (List.map2
+         (fun (c : Runner.cell) (base : Runner.measurement) ->
+           List.map
+             (fun count ->
+               let faults =
+                 survivability_schedule ~count ~nprocs ~duration_ns:base.time_ns
+               in
+               (base, count, { c with Runner.faults = Some faults }))
+             [ 1; 2 ])
+         base_cells bases)
+  in
+  let faulty = Runner.run_cells ~jobs (List.map (fun (_, _, c) -> c) runs) in
   let rows =
-    Pool.map ~jobs
-      (fun ((app : Registry.entry), protocol) ->
-        let base = Runner.run ~app ~protocol ~nprocs ~scale () in
-        List.map
-          (fun count ->
-            let faults =
-              survivability_schedule ~count ~nprocs
-                ~duration_ns:base.Runner.time_ns
-            in
-            let m = Runner.run ~faults ~app ~protocol ~nprocs ~scale () in
-            if m.Runner.checksum <> base.Runner.checksum then
-              invalid_arg
-                (Printf.sprintf
-                   "Experiments: %s/%s checksum diverged under %d crash(es)"
-                   app.Registry.name
-                   (Config.protocol_name protocol)
-                   count);
-            let pct part whole =
-              Printf.sprintf "+%.1f%%"
-                (100. *. float_of_int (part - whole) /. float_of_int whole)
-            in
-            [
-              (if count = 1 then app.Registry.name else "");
-              (if count = 1 then Config.protocol_name protocol else "");
-              string_of_int count;
-              seconds m.Runner.time_ns;
-              pct m.Runner.time_ns base.Runner.time_ns;
-              Tables.thousands m.Runner.messages;
-              pct m.Runner.wire_bytes base.Runner.wire_bytes;
-            ])
-          [ 1; 2 ])
-      cells
+    List.map2
+      (fun ((base : Runner.measurement), count, _) (m : Runner.measurement) ->
+        if m.checksum <> base.checksum then
+          invalid_arg
+            (Printf.sprintf
+               "Experiments: %s/%s checksum diverged under %d crash(es)"
+               base.app
+               (Config.protocol_name base.protocol)
+               count);
+        let pct part whole =
+          Printf.sprintf "+%.1f%%"
+            (100. *. float_of_int (part - whole) /. float_of_int whole)
+        in
+        [
+          (if count = 1 then base.app else "");
+          (if count = 1 then Config.protocol_name base.protocol else "");
+          string_of_int count;
+          seconds m.time_ns;
+          pct m.time_ns base.time_ns;
+          Tables.thousands m.messages;
+          pct m.wire_bytes base.wire_bytes;
+        ])
+      runs faulty
   in
   Tables.render
     ~title:
@@ -467,7 +443,7 @@ let survivability ?(apps = [ "SOR"; "IS"; "Water" ])
     ~header:
       [ "Program"; "Protocol"; "Crashes"; "Time(s)"; "Slowdown"; "Msgs";
         "Wire" ]
-    (List.concat rows)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* CSV export                                                         *)
@@ -538,17 +514,58 @@ let export_csv suite ~dir =
   (speedups :: sharing :: fig3)
 
 (* ------------------------------------------------------------------ *)
+(* Simulator cost: events executed and wire traffic per protocol      *)
+(* ------------------------------------------------------------------ *)
 
-let run_all ?apps ?scale ?nprocs ?jobs ?tweak () =
+let simcost suite =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    "Simulator cost per protocol (summed over all applications)\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  %-8s %16s %16s %12s\n" "protocol" "events executed"
+       "wire bytes" "messages");
+  List.iter
+    (fun protocol ->
+      let ms =
+        List.filter
+          (fun (m : Runner.measurement) ->
+            m.protocol = protocol && m.nprocs > 1)
+          suite.measurements
+      in
+      if ms <> [] then
+        let sum f = List.fold_left (fun acc m -> acc + f m) 0 ms in
+        Buffer.add_string buf
+          (Printf.sprintf "  %-8s %16d %16d %12d\n"
+             (Config.protocol_name protocol)
+             (sum (fun m -> m.events))
+             (sum (fun m -> m.wire_bytes))
+             (sum (fun m -> m.messages))))
+    Config.all_protocols;
+  Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+
+let paper =
+  [
+    ("table1", table1);
+    ("table2", table2);
+    ("fig1", fun _ -> figure1 ());
+    ("fig2", figure2);
+    ("table3", table3);
+    ("table4", table4);
+    ("fig3", figure3);
+    ("breakdown", breakdown);
+  ]
+
+let artifacts = paper @ [ ("simcost", simcost) ]
+
+let names = List.map fst artifacts
+
+let run_all ?(only = List.map fst paper) ?apps ?scale ?nprocs ?jobs ?tweak ()
+    =
   let suite = collect ?apps ?scale ?nprocs ?jobs ?tweak () in
   String.concat "\n"
-    [
-      table1 suite;
-      table2 suite;
-      figure1 ();
-      figure2 suite;
-      table3 suite;
-      table4 suite;
-      figure3 suite;
-      breakdown suite;
-    ]
+    (List.filter_map
+       (fun (name, render) ->
+         if List.mem name only then Some (render suite) else None)
+       artifacts)

@@ -18,7 +18,8 @@ type suite = {
 (** Runs the whole grid.  [apps] restricts the application set (default:
     all eight).  [jobs] (default 1) runs the independent (app, protocol)
     simulations on that many worker domains via {!Pool}; the resulting
-    suite is field-for-field identical for any [jobs] value. *)
+    suite is field-for-field identical for any [jobs] value.
+    @raise Invalid_argument on an unknown application name. *)
 val collect :
   ?apps:string list ->
   ?scale:Adsm_apps.Registry.scale ->
@@ -78,8 +79,19 @@ val survivability :
   unit ->
   string
 
-(** Everything, in paper order. *)
+(** Simulator cost per protocol: events executed, wire bytes and
+    messages summed over the suite's multi-processor cells. *)
+val simcost : suite -> string
+
+(** Artifact names, in paper order: [table1], [table2], [fig1], [fig2],
+    [table3], [table4], [fig3], [breakdown], then [simcost]. *)
+val names : string list
+
+(** Collects the suite once and renders the [only] artifacts (default:
+    every one but [simcost]) in paper order, separated by blank lines.
+    @raise Invalid_argument on an unknown application name. *)
 val run_all :
+  ?only:string list ->
   ?apps:string list ->
   ?scale:Adsm_apps.Registry.scale ->
   ?nprocs:int ->

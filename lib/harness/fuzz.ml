@@ -170,8 +170,17 @@ let counterexample outcome =
 let check_app ?seed ?mutation ?faults ~(app : Registry.entry) ~protocol
     ~nprocs ~scale () =
   let recorder = Recorder.create () in
-  let tweak cfg = { cfg with Config.mutation; faults } in
+  let tweak cfg = { cfg with Config.mutation } in
   let (_ : Runner.measurement) =
-    Runner.run ?seed ~tweak ~recorder ~app ~protocol ~nprocs ~scale ()
+    Runner.run ?seed ~recorder
+      {
+        Runner.app;
+        protocol;
+        nprocs;
+        scale;
+        fabric = Runner.Flat_central;
+        tweak;
+        faults;
+      }
   in
   Oracle.check ~nprocs (Recorder.stream recorder)

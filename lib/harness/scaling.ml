@@ -25,13 +25,13 @@
 
 module Config = Adsm_dsm.Config
 module Registry = Adsm_apps.Registry
-module Topology = Adsm_net.Topology
+module Json = Adsm_trace.Json
 
-type fabric = Flat_central | Tree_combining
+type fabric = Runner.fabric = Flat_central | Tree_combining
 
-let fabric_name = function
-  | Flat_central -> "flat"
-  | Tree_combining -> "tree"
+let fabric_name = Runner.fabric_name
+
+let tweak_of_fabric = Runner.tweak_of_fabric
 
 type row = {
   app : string;
@@ -63,14 +63,14 @@ let default_apps =
    lock-chain apps (IS, Water) do work superlinear in n, ILINK moves the
    most diff bytes; everything else is light.  Wrong weights cost a
    little wall clock, never correctness. *)
-let cell_weight (app, _protocol, n, _fabric) =
+let cell_weight (c : Runner.cell) =
   let factor =
-    match String.lowercase_ascii app with
+    match String.lowercase_ascii c.app.Registry.name with
     | "is" | "water" -> 40
     | "ilink" -> 10
     | _ -> 1
   in
-  factor * n * n
+  factor * c.nprocs * c.nprocs
 
 (* The CI smoke subset: one cheap app, the two protocol families, a
    sparse node grid.  Seconds of wall clock; the 1024 entry only fires
@@ -81,97 +81,45 @@ let smoke_protocols = [ Config.Mw; Config.Wfs ]
 
 let smoke_grid = [ 8; 32; 128; 256; 1024 ]
 
-(* The large-cluster configuration under test: a 2-level switched tree
-   (32 nodes per leaf switch), the combining barrier, lock homes sharded
-   across one manager per switch, and delta-encoded vector-clock costs. *)
-let tweak_of_fabric fabric cfg =
-  match fabric with
-  | Flat_central -> cfg
-  | Tree_combining ->
-    let shards = max 1 (cfg.Config.nprocs / 32) in
-    {
-      cfg with
-      Config.topology = Topology.shape (Topology.tree cfg.Config.net);
-      barrier = Config.Tree { fanout = 4 };
-      lock_homes = Config.Sharded shards;
-      sparse_vc = true;
-    }
-
 let collect ?(smoke = false) ?(max_nodes = 1024) ?(jobs = 1) ?apps () =
-  (* [apps] restricts the sweep to the named applications (CI smoke,
-     local iteration). *)
   let apps =
     match apps with
-    | Some l ->
-      List.iter
-        (fun a ->
-          if Registry.find a = None then
-            invalid_arg ("Scaling.collect: unknown app " ^ a))
-        l;
-      l
+    | Some l -> l
     | None -> if smoke then smoke_apps else default_apps
   in
   let protocols = if smoke then smoke_protocols else Config.all_protocols in
   let counts = if smoke then smoke_grid else node_grid in
   let cells =
-    List.concat_map
-      (fun a ->
-        List.concat_map
-          (fun p ->
-            List.concat_map
-              (fun n ->
-                if n > max_nodes || n > app_cap a then []
-                else [ (a, p, n, Flat_central); (a, p, n, Tree_combining) ])
-              counts)
-          protocols)
-      apps
+    List.filter
+      (fun (c : Runner.cell) ->
+        c.nprocs <= max_nodes && c.nprocs <= app_cap c.app.Registry.name)
+      (Runner.grid ~scale:Registry.Tiny
+         ~fabrics:[ Flat_central; Tree_combining ]
+         ~protocols ~nprocs:counts apps)
   in
-  let run_cell (a, p, n, f) =
-    let app =
-      match Registry.find a with
-      | Some e -> e
-      | None -> invalid_arg ("Scaling.collect: unknown app " ^ a)
-    in
-    let m =
-      Runner.run ~tweak:(tweak_of_fabric f) ~app ~protocol:p ~nprocs:n
-        ~scale:Registry.Tiny ()
-    in
-    {
-      app = m.Runner.app;
-      protocol = p;
-      nprocs = n;
-      fabric = f;
-      time_ns = m.Runner.time_ns;
-      speedup = Runner.speedup m;
-      messages = m.Runner.messages;
-      barrier_msgs =
-        (match List.assoc_opt "barrier" m.Runner.by_kind with
-        | Some (count, _) -> count
-        | None -> 0);
-      wire_bytes = m.Runner.wire_bytes;
-      checksum = m.Runner.checksum;
-    }
+  (* Heaviest-first dispatch keeps a trailing 1024-node cell from
+     serializing the tail of a [jobs > 1] sweep; rows stay in grid order. *)
+  let ms = Runner.run_cells ~jobs ~weight:cell_weight cells in
+  let rows =
+    List.map2
+      (fun (c : Runner.cell) (m : Runner.measurement) ->
+        {
+          app = m.app;
+          protocol = m.protocol;
+          nprocs = m.nprocs;
+          fabric = c.fabric;
+          time_ns = m.time_ns;
+          speedup = Runner.speedup m;
+          messages = m.messages;
+          barrier_msgs =
+            (match List.assoc_opt "barrier" m.by_kind with
+            | Some (count, _) -> count
+            | None -> 0);
+          wire_bytes = m.wire_bytes;
+          checksum = m.checksum;
+        })
+      cells ms
   in
-  (* Dispatch heaviest-first so a trailing 1024-node cell cannot
-     serialize the tail of a [jobs > 1] sweep, then scatter the results
-     back into grid order — the artifact's row order is stable whatever
-     the dispatch order. *)
-  let cell_arr = Array.of_list cells in
-  let order = Array.init (Array.length cell_arr) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c =
-        Int.compare (cell_weight cell_arr.(j)) (cell_weight cell_arr.(i))
-      in
-      if c <> 0 then c else Int.compare i j)
-    order;
-  let dispatched =
-    Pool.map ~jobs run_cell
-      (Array.to_list (Array.map (fun i -> cell_arr.(i)) order))
-  in
-  let out = Array.make (Array.length cell_arr) None in
-  List.iteri (fun k r -> out.(order.(k)) <- Some r) dispatched;
-  let rows = Array.to_list (Array.map Option.get out) in
   { smoke; max_nodes; rows }
 
 (* ------------------------------------------------------------------ *)
@@ -344,23 +292,29 @@ let render study = table_times study ^ "\n" ^ crossover study
 (* JSON artifact                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* [speedup] keeps the 4 decimals the artifact has always carried. *)
 let to_json study =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"smoke\": %b,\n  \"max_nodes\": %d,\n  \"rows\": [\n"
-       study.smoke study.max_nodes);
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"app\": %S, \"protocol\": %S, \"nprocs\": %d, \"fabric\": \
-            %S, \"time_ns\": %d, \"speedup\": %.4f, \"messages\": %d, \
-            \"barrier_msgs\": %d, \"wire_bytes\": %d, \"checksum\": %.17g}"
-           r.app
-           (Config.protocol_name r.protocol)
-           r.nprocs (fabric_name r.fabric) r.time_ns r.speedup r.messages
-           r.barrier_msgs r.wire_bytes r.checksum))
-    study.rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let row r =
+    Json.Obj
+      [
+        ("app", Json.String r.app);
+        ("protocol", Json.String (Config.protocol_name r.protocol));
+        ("nprocs", Json.Int r.nprocs);
+        ("fabric", Json.String (fabric_name r.fabric));
+        ("time_ns", Json.Int r.time_ns);
+        ( "speedup",
+          Json.Float (float_of_string (Printf.sprintf "%.4f" r.speedup)) );
+        ("messages", Json.Int r.messages);
+        ("barrier_msgs", Json.Int r.barrier_msgs);
+        ("wire_bytes", Json.Int r.wire_bytes);
+        ("checksum", Json.Float r.checksum);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("smoke", Json.Bool study.smoke);
+         ("max_nodes", Json.Int study.max_nodes);
+         ("rows", Json.List (List.map row study.rows));
+       ])
+  ^ "\n"

@@ -4,20 +4,12 @@
 
     See EXPERIMENTS.md, "Running a scaling sweep". *)
 
-type fabric =
-  | Flat_central  (** the paper's fabric: flat network, manager barrier *)
-  | Tree_combining
-      (** large-cluster configuration: 2-level switched tree, combining
-          tree barrier (fanout 4), lock homes sharded one per switch,
-          sparse vector-clock cost accounting *)
+(** The study's two fabrics, re-exported from {!Runner} for callers that
+    name them through this module (the perfbench benchmark). *)
+type fabric = Runner.fabric = Flat_central | Tree_combining
 
 val fabric_name : fabric -> string
 
-(** Configuration tweak selecting a fabric: [Flat_central] is the
-    identity, [Tree_combining] switches on the 2-level tree topology,
-    the combining barrier, sharded lock homes and sparse vector-clock
-    accounting.  Exposed so the bench harness prices the same two
-    configurations the study compares. *)
 val tweak_of_fabric : fabric -> Adsm_dsm.Config.t -> Adsm_dsm.Config.t
 
 type row = {

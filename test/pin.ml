@@ -42,8 +42,9 @@ let check ?(tweak = Fun.id) ?faults ~app ~protocol ~nprocs pin =
       pin.trace_md5
   in
   let m =
-    Runner.run ~tweak ?faults ?tracer ~app ~protocol ~nprocs
-      ~scale:Registry.Tiny ()
+    Runner.run ?tracer
+      (Runner.cell ~scale:Registry.Tiny ~tweak ?faults ~protocol ~nprocs
+         app.Registry.name)
   in
   Option.iter Trace.Tracer.close tracer;
   let name field = pin.cell ^ " " ^ field in

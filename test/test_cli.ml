@@ -40,17 +40,30 @@ let check_failure name args ~code ~stderr_has =
     true
     (contains ~needle:stderr_has err)
 
+(* Name-valued options and arguments are usage errors (exit 124) that
+   name the option and list the valid values, before anything runs. *)
+let check_unknown_name name args ~flag ~valid =
+  let code, out, err = run_capture args in
+  Alcotest.(check int) (name ^ ": exit code") 124 code;
+  Alcotest.(check string) (name ^ ": nothing ran") "" out;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stderr mentions %S (got %S)" name needle err)
+        true (contains ~needle err))
+    [ flag; valid ]
+
 let test_unknown_app () =
-  check_failure "unknown app" "run --app NOPE --tiny --procs 2" ~code:1
-    ~stderr_has:"unknown application"
+  check_unknown_name "unknown app" "run --app NOPE --tiny --procs 2"
+    ~flag:"--app" ~valid:"ILINK"
 
 let test_unknown_protocol () =
-  check_failure "unknown protocol" "run --protocol BOGUS --tiny --procs 2"
-    ~code:1 ~stderr_has:"unknown protocol"
+  check_unknown_name "unknown protocol" "run --protocol BOGUS --tiny --procs 2"
+    ~flag:"--protocol" ~valid:"HLRC"
 
 let test_unknown_verify_app () =
-  check_failure "verify unknown app" "verify --app NOPE --tiny" ~code:1
-    ~stderr_has:"unknown application"
+  check_unknown_name "verify unknown app" "verify --app NOPE --tiny"
+    ~flag:"--app" ~valid:"ILINK"
 
 let test_bad_trace_path () =
   check_failure "bad trace path"
@@ -67,12 +80,18 @@ let test_bad_trace_format_value () =
     ~code:124 ~stderr_has:"trace-format"
 
 let test_unknown_mutation () =
-  check_failure "unknown mutation" "fuzz --seeds 1 --mutation bogus" ~code:1
-    ~stderr_has:"unknown mutation"
+  check_unknown_name "unknown mutation" "fuzz --seeds 1 --mutation bogus"
+    ~flag:"--mutation" ~valid:"stale-vc-after-restart"
 
+(* The bad name comes first and a valid study follows: the valid one
+   must not run before the error. *)
 let test_unknown_ablation () =
-  check_failure "unknown ablation" "ablations nosuchstudy" ~code:1
-    ~stderr_has:"unknown study"
+  check_unknown_name "unknown ablation" "ablations nosuchstudy quantum"
+    ~flag:"STUDY" ~valid:"writeranges"
+
+let test_unknown_artifact () =
+  check_unknown_name "unknown artifact" "experiments tabel3" ~flag:"ARTIFACT"
+    ~valid:"simcost"
 
 (* [--procs] is shared by every subcommand that builds a cluster: a
    non-positive count is a usage error naming the option, on all of
@@ -96,7 +115,7 @@ let test_nonpositive_jobs () =
       "experiments --tiny --jobs 0"; "scaling --tiny --jobs 0";
       "fuzz --seeds 1 --jobs 0"; "survive --tiny --jobs 0";
       "verify --tiny --jobs=-1"; "ablations --jobs 0";
-      "experiments --tiny -j 0";
+      "experiments --tiny -j 0"; "perf --tiny --jobs 0";
     ]
 
 (* Unknown application names in list options are usage errors that name
@@ -130,7 +149,7 @@ let test_list_ok () =
    so the exit code alone would not catch it. *)
 let subcommands =
   [ "run"; "fuzz"; "experiments"; "list"; "scaling"; "ablations"; "survive";
-    "verify" ]
+    "verify"; "perf" ]
 
 let test_help_renders () =
   List.iter
@@ -175,6 +194,8 @@ let () =
             test_unknown_mutation;
           Alcotest.test_case "unknown ablation study" `Quick
             test_unknown_ablation;
+          Alcotest.test_case "unknown experiments artifact" `Quick
+            test_unknown_artifact;
           Alcotest.test_case "non-positive --procs" `Quick
             test_nonpositive_procs;
           Alcotest.test_case "non-positive --jobs" `Quick

@@ -190,8 +190,9 @@ let test_codec_roundtrip () =
 let test_recorder_is_observational () =
   let app = Option.get (Registry.find "SOR") in
   let run recorder =
-    Runner.run ?recorder ~app ~protocol:Config.Wfs_wg ~nprocs:4
-      ~scale:Registry.Tiny ()
+    Runner.run ?recorder
+      (Runner.cell ~scale:Registry.Tiny ~protocol:Config.Wfs_wg ~nprocs:4
+         app.Registry.name)
   in
   let plain = run None in
   let recorder = Recorder.create () in

@@ -26,11 +26,6 @@ module Oracle = Adsm_check.Oracle
 module Recorder = Adsm_check.Recorder
 module Rng = Adsm_sim.Rng
 
-let app name =
-  match Registry.find name with
-  | Some app -> app
-  | None -> Alcotest.failf "unknown app %s" name
-
 let sched spec =
   match Fault.of_string spec with
   | Ok s -> s
@@ -125,8 +120,8 @@ let test_generate_valid () =
 let crash_sched = sched "crash=1@400us:200us;crash=2@900us:150us"
 
 let measure ?tweak ?recorder name protocol =
-  Runner.run ?tweak ?recorder ~app:(app name) ~protocol ~nprocs:4
-    ~scale:Registry.Tiny ()
+  Runner.run ?recorder
+    (Runner.cell ~scale:Registry.Tiny ?tweak ~protocol ~nprocs:4 name)
 
 let test_apps_survive_crashes () =
   List.iter
@@ -377,8 +372,8 @@ let test_crash_counters_pinned () =
         if crashes then with_faults crash_sched cfg else cfg
       in
       let m =
-        Runner.run ~tweak ~app:(app name) ~protocol ~nprocs
-          ~scale:Registry.Tiny ()
+        Runner.run
+          (Runner.cell ~scale:Registry.Tiny ~tweak ~protocol ~nprocs name)
       in
       let label what =
         Printf.sprintf "%s/%s/%d%s%s: %s" name

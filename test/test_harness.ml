@@ -12,10 +12,15 @@ module Experiments = Adsm_harness.Experiments
 
 let sor () = Option.get (Registry.find "SOR")
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let test_runner_measurement () =
   let m =
-    Runner.run ~app:(sor ()) ~protocol:Config.Mw ~nprocs:2
-      ~scale:Registry.Tiny ()
+    Runner.run
+      (Runner.cell ~scale:Registry.Tiny ~protocol:Config.Mw ~nprocs:2 "SOR")
   in
   Alcotest.(check string) "app" "SOR" m.Runner.app;
   Alcotest.(check bool) "time" true (m.Runner.time_ns > 0);
@@ -25,8 +30,8 @@ let test_runner_measurement () =
 
 let test_runner_speedup_definition () =
   let m =
-    Runner.run ~app:(sor ()) ~protocol:Config.Sw ~nprocs:2
-      ~scale:Registry.Tiny ()
+    Runner.run
+      (Runner.cell ~scale:Registry.Tiny ~protocol:Config.Sw ~nprocs:2 "SOR")
   in
   let seq = Runner.sequential_time_ns ~app:(sor ()) ~scale:Registry.Tiny in
   Alcotest.(check (float 1e-9)) "speedup = seq/par"
@@ -41,8 +46,8 @@ let test_sequential_runs_are_cached () =
 let test_runner_determinism () =
   let run () =
     let m =
-      Runner.run ~app:(sor ()) ~protocol:Config.Wfs ~nprocs:4
-        ~scale:Registry.Tiny ()
+      Runner.run
+        (Runner.cell ~scale:Registry.Tiny ~protocol:Config.Wfs ~nprocs:4 "SOR")
     in
     (m.Runner.time_ns, m.Runner.messages, m.Runner.checksum)
   in
@@ -78,6 +83,45 @@ let test_units () =
   Alcotest.(check string) "mb" "2.00" (Tables.mb (2 * 1024 * 1024));
   Alcotest.(check string) "thousands" "1.50" (Tables.thousands 1500)
 
+let test_cell_unknown_app () =
+  match Runner.cell ~protocol:Config.Mw ~nprocs:2 "NOPE" with
+  | _ -> Alcotest.fail "Runner.cell accepted an unknown application"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "message names the app (got %S)" msg)
+      true
+      (contains msg "NOPE")
+
+(* The keys the CI gates and the committed BENCH_suite.json rows read. *)
+let test_to_json_row () =
+  let module Json = Adsm_trace.Json in
+  let cell =
+    Runner.cell ~scale:Registry.Tiny ~fabric:Runner.Tree_combining
+      ~protocol:Config.Wfs ~nprocs:4 "SOR"
+  in
+  let m, timing = Runner.timed (fun () -> Runner.run cell) in
+  let row = Runner.to_json ~extra:[ ("tag", Json.Bool true) ] cell m timing in
+  let parsed =
+    match Json.parse (Json.to_string row) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "row does not parse: %s" e
+  in
+  Alcotest.(check bool) "round-trips" true (parsed = row);
+  let field k = Json.member k parsed in
+  Alcotest.(check (option string)) "app" (Some "SOR")
+    (Option.bind (field "app") Json.to_str);
+  Alcotest.(check (option string)) "protocol" (Some "WFS")
+    (Option.bind (field "protocol") Json.to_str);
+  Alcotest.(check (option string)) "fabric" (Some "tree")
+    (Option.bind (field "fabric") Json.to_str);
+  Alcotest.(check (option int)) "nprocs" (Some 4)
+    (Option.bind (field "nprocs") Json.to_int);
+  Alcotest.(check (option int)) "wall_ns" (Some timing.Runner.wall_ns)
+    (Option.bind (field "wall_ns") Json.to_int);
+  Alcotest.(check bool) "checksum" true
+    (field "checksum" = Some (Json.Float m.Runner.checksum));
+  Alcotest.(check bool) "extra" true (field "tag" = Some (Json.Bool true))
+
 (* ------------------------------------------------------------------ *)
 (* Experiment suite plumbing                                          *)
 (* ------------------------------------------------------------------ *)
@@ -96,11 +140,6 @@ let test_collect_and_render () =
   let f2 = Experiments.figure2 suite in
   let t3 = Experiments.table3 suite in
   let t4 = Experiments.table4 suite in
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun (name, s) ->
       Alcotest.(check bool) (name ^ " mentions SOR") true (contains s "SOR"))
@@ -125,11 +164,6 @@ let test_export_csv () =
 
 let test_figure1_narrative () =
   let s = Experiments.figure1 () in
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "three scenarios" true
     (contains s "producer-consumer" && contains s "migratory"
     && contains s "write-write FS")
@@ -139,11 +173,7 @@ let test_figure1_narrative () =
 (* ------------------------------------------------------------------ *)
 
 let speedup_of app protocol =
-  match Registry.find app with
-  | None -> Alcotest.fail ("unknown app " ^ app)
-  | Some entry ->
-    Runner.speedup
-      (Runner.run ~app:entry ~protocol ~nprocs:4 ~scale:Registry.Default ())
+  Runner.speedup (Runner.run (Runner.cell ~protocol ~nprocs:4 app))
 
 let test_shape_is_prefers_single_writer () =
   (* Paper Section 6.4: IS is migratory with whole-page writes; MW's
@@ -184,10 +214,9 @@ let test_shape_memory_ordering () =
   (* Paper Table 3: twin+diff memory satisfies WFS <= WFS+WG <= MW. *)
   List.iter
     (fun app_name ->
-      let entry = Option.get (Registry.find app_name) in
       let mem protocol =
         let m =
-          Runner.run ~app:entry ~protocol ~nprocs:4 ~scale:Registry.Default ()
+          Runner.run (Runner.cell ~protocol ~nprocs:4 app_name)
         in
         m.Runner.twin_bytes + m.Runner.diff_bytes
       in
@@ -210,6 +239,8 @@ let () =
           Alcotest.test_case "speedup" `Quick test_runner_speedup_definition;
           Alcotest.test_case "seq cache" `Quick test_sequential_runs_are_cached;
           Alcotest.test_case "determinism" `Quick test_runner_determinism;
+          Alcotest.test_case "unknown app" `Quick test_cell_unknown_app;
+          Alcotest.test_case "json row" `Quick test_to_json_row;
         ] );
       ( "tables",
         [

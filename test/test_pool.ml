@@ -2,7 +2,7 @@
 
    The load-bearing property is determinism: [Pool.map ~jobs:n] must be
    indistinguishable from [List.map] for every [n], and a full
-   [Experiments.collect ~jobs] suite must reproduce the sequential suite
+   [Runner.run_cells ~jobs ~weight] suite must reproduce the sequential suite
    field for field — that test doubles as the domain-safety audit of
    [Runner.run] (any cross-run mutable global would show up as a
    diverging counter under contention). *)
@@ -115,24 +115,31 @@ let check_measurement (a : Runner.measurement) (b : Runner.measurement) =
     (a.Runner.live_diff_series = b.Runner.live_diff_series)
 
 let test_parallel_suite_identical () =
-  (* The full grid — every application under all four protocols plus
-     the sequential baselines — run twice: plain and on 8 domains. *)
+  (* The full grid — every application under all four protocols — run
+     twice: plain, and on 8 domains dispatched in a weight order that
+     scrambles the grid order. *)
   let seq = Experiments.collect ~scale:Registry.Tiny ~nprocs:8 () in
-  let par = Experiments.collect ~scale:Registry.Tiny ~nprocs:8 ~jobs:8 () in
+  let cells =
+    Runner.grid ~scale:Registry.Tiny ~protocols:Config.all_protocols
+      ~nprocs:[ 8 ] Registry.names
+  in
+  let par =
+    Runner.run_cells ~jobs:8
+      ~weight:(fun (c : Runner.cell) ->
+        Hashtbl.hash (c.app.Registry.name, c.protocol))
+      cells
+  in
   Alcotest.(check int) "same cell count"
     (List.length seq.Experiments.measurements)
-    (List.length par.Experiments.measurements);
-  List.iter2 check_measurement seq.Experiments.measurements
-    par.Experiments.measurements
+    (List.length par);
+  List.iter2 check_measurement seq.Experiments.measurements par
 
 let test_runner_inside_worker_domain () =
   (* A single Runner.run executed inside a pool worker must match the
      same run from the main domain (no domain-local state leaks). *)
-  let app =
-    match Registry.find "IS" with Some a -> a | None -> Alcotest.fail "no IS"
-  in
   let go () =
-    Runner.run ~app ~protocol:Config.Wfs ~nprocs:4 ~scale:Registry.Tiny ()
+    Runner.run
+      (Runner.cell ~scale:Registry.Tiny ~protocol:Config.Wfs ~nprocs:4 "IS")
   in
   let main = go () in
   match Pool.map ~jobs:2 (fun () -> go ()) [ (); () ] with

@@ -10,13 +10,8 @@ module Registry = Adsm_apps.Registry
 module Runner = Adsm_harness.Runner
 module Scaling = Adsm_harness.Scaling
 
-let run ?(tweak = Fun.id) ~app ~protocol ~nprocs () =
-  let entry =
-    match Registry.find app with
-    | Some e -> e
-    | None -> Alcotest.fail ("unknown app " ^ app)
-  in
-  Runner.run ~tweak ~app:entry ~protocol ~nprocs ~scale:Registry.Tiny ()
+let run ?tweak ~app ~protocol ~nprocs () =
+  Runner.run (Runner.cell ~scale:Registry.Tiny ?tweak ~protocol ~nprocs app)
 
 let tree_tweak = Scaling.tweak_of_fabric Scaling.Tree_combining
 

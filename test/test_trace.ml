@@ -255,16 +255,12 @@ let test_query_window_page_composed () =
 (* Captured protocol runs                                             *)
 (* ------------------------------------------------------------------ *)
 
-let capture ?(nprocs = 4) app_name protocol =
-  let app =
-    match Registry.find app_name with
-    | Some app -> app
-    | None -> Alcotest.failf "unknown app %s" app_name
-  in
+let capture ?(nprocs = 4) app protocol =
   let ring = Sink.ring ~capacity:1_000_000 () in
   let tracer = Tracer.create [ Sink.ring_sink ring ] in
   let m =
-    Runner.run ~tracer ~app ~protocol ~nprocs ~scale:Registry.Tiny ()
+    Runner.run ~tracer
+      (Runner.cell ~scale:Registry.Tiny ~protocol ~nprocs app)
   in
   Tracer.close tracer;
   Alcotest.(check int) "ring kept everything" 0 (Sink.ring_dropped ring);
@@ -294,6 +290,39 @@ let test_sor_wfs_trace_matches_stats () =
   Alcotest.(check int) "barriers balanced"
     (Query.count ~tag:"barrier-enter" evs)
     (Query.count ~tag:"barrier-leave" evs)
+
+(* A real run through the Chrome file sink: the file must be one valid
+   JSON document with a track per simulated node, and tracing must not
+   change the run's result. *)
+let test_sor_wfs_chrome_file () =
+  let nprocs = 4 in
+  let cell =
+    Runner.cell ~scale:Registry.Tiny ~protocol:Config.Wfs ~nprocs "SOR"
+  in
+  let path = Filename.temp_file "adsm_trace_chrome" ".json" in
+  let tracer = Tracer.create [ Sink.file Sink.Chrome ~nodes:nprocs path ] in
+  let traced = Runner.run ~tracer cell in
+  Tracer.close tracer;
+  let contents = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let records =
+    match Json.parse contents with
+    | Error e -> Alcotest.failf "chrome trace does not parse: %s" e
+    | Ok json -> (
+      match Option.bind (Json.member "traceEvents" json) Json.to_list with
+      | Some (_ :: _ as l) -> l
+      | _ -> Alcotest.fail "traceEvents missing or empty")
+  in
+  let pids =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r -> Option.bind (Json.member "pid" r) Json.to_int)
+         records)
+  in
+  Alcotest.(check (list int))
+    "one track per node" (List.init nprocs Fun.id) pids;
+  Alcotest.(check (float 0.)) "checksum as untraced"
+    (Runner.run cell).Runner.checksum traced.Runner.checksum
 
 let test_is_mw_trace_shows_multiple_writers () =
   (* IS under MW: the shared bucket pages are written by several nodes in
@@ -350,6 +379,8 @@ let () =
         [
           Alcotest.test_case "SOR/WFS stays single-writer" `Quick
             test_sor_wfs_trace_matches_stats;
+          Alcotest.test_case "SOR/WFS chrome trace file" `Quick
+            test_sor_wfs_chrome_file;
           Alcotest.test_case "IS/MW multiple writers" `Quick
             test_is_mw_trace_shows_multiple_writers;
         ] );
